@@ -15,14 +15,14 @@ import (
 // atomFn reports whether one atom accepts the row.
 type atomFn func(tuple.Row) bool
 
-// Compiled is a type-specialized evaluator for one bound Conjunction. The
-// zero value is invalid; obtain one from Compile and check OK.
+// Compiled is a type-specialized evaluator for one bound Conjunction,
+// obtained from Compile. It is the engine's one in-memory predicate
+// evaluator: every operator filters decoded rows through it.
 type Compiled struct {
 	fns []atomFn
 }
 
-// OK reports whether the compilation produced a usable evaluator. Callers
-// fall back to Conjunction.Eval when it is false.
+// OK reports whether c came from Compile (the zero value evaluates nothing).
 func (c Compiled) OK() bool { return c.fns != nil }
 
 // Len returns the number of compiled atoms.
@@ -76,64 +76,47 @@ func (c Compiled) EvalBatch(rows []tuple.Row, sel []int) []int {
 	return sel
 }
 
-// Compile specializes every atom of a bound conjunction. It returns a
-// Compiled with OK()==false when the predicate is empty (evaluation is
-// already trivial) or when any atom cannot be specialized; callers then use
-// the generic evaluator, so compilation is always safe to attempt.
+// Compile specializes every atom of a bound conjunction. The empty
+// conjunction compiles to an evaluator that accepts every row. Binding
+// guarantees each atom's constants share its column's kind family, so every
+// bound atom compiles; an unbound one panics, as Atom.Eval does.
 func Compile(c Conjunction) Compiled {
-	if len(c.Atoms) == 0 {
-		return Compiled{}
-	}
 	fns := make([]atomFn, len(c.Atoms))
 	for i, a := range c.Atoms {
-		fn := compileAtom(a)
-		if fn == nil {
-			return Compiled{}
-		}
-		fns[i] = fn
+		fns[i] = compileAtom(a)
 	}
 	return Compiled{fns: fns}
 }
 
-// compileAtom builds the specialized closure for one atom, or nil when the
-// atom's shape is not compilable (unbound, or mixed-kind constants).
+// compileAtom builds the specialized closure for one bound atom. Numeric
+// (INT, DATE) constants compare through Value.Int, strings through
+// Value.Str.
 func compileAtom(a Atom) atomFn {
 	if !a.bound {
-		return nil
+		panic("expr: Compile on unbound atom " + a.String())
 	}
 	ord := a.ord
 	switch a.Op {
-	case Eq, Ne, Lt, Le, Gt, Ge:
-		if numericKind(a.Val.Kind) {
-			return compileNumericCmp(ord, a.Op, a.Val.Int)
-		}
-		if a.Val.Kind == tuple.KindString {
-			return compileStringCmp(ord, a.Op, a.Val.Str)
-		}
-		return nil
 	case Between:
-		// Value.Compare treats Int and Date interchangeably, so a mixed
-		// numeric pair is fine; a numeric/string mix is a planner bug the
-		// generic evaluator reports by panicking, so refuse to compile it.
-		if numericKind(a.Val.Kind) && numericKind(a.Val2.Kind) {
+		if numericKind(a.Val.Kind) {
 			lo, hi := a.Val.Int, a.Val2.Int
 			return func(row tuple.Row) bool {
 				v := row[ord].Int
 				return v >= lo && v <= hi
 			}
 		}
-		if a.Val.Kind == tuple.KindString && a.Val2.Kind == tuple.KindString {
-			lo, hi := a.Val.Str, a.Val2.Str
-			return func(row tuple.Row) bool {
-				v := row[ord].Str
-				return v >= lo && v <= hi
-			}
+		lo, hi := a.Val.Str, a.Val2.Str
+		return func(row tuple.Row) bool {
+			v := row[ord].Str
+			return v >= lo && v <= hi
 		}
-		return nil
 	case In:
 		return compileIn(ord, a.List)
 	default:
-		return nil
+		if numericKind(a.Val.Kind) {
+			return compileNumericCmp(ord, a.Op, a.Val.Int)
+		}
+		return compileStringCmp(ord, a.Op, a.Val.Str)
 	}
 }
 
@@ -178,50 +161,15 @@ func compileStringCmp(ord int, op CmpOp, c string) atomFn {
 	return nil
 }
 
-// compileIn specializes membership tests. IN lists are uniform-kind by
-// construction (the parser coerces every element to the column kind); a
-// mixed list is left to the generic evaluator. Larger integer lists get a
-// hash set, small ones a linear probe — IN lists in this engine are tiny,
-// so the cutoff only matters for hand-built predicates.
+// compileIn specializes membership tests; Bind makes the list uniform in
+// kind family. Larger integer lists get a hash set, small ones a linear
+// probe — IN lists in this engine are tiny, so the cutoff only matters for
+// hand-built predicates.
 func compileIn(ord int, list []tuple.Value) atomFn {
 	if len(list) == 0 {
 		return func(tuple.Row) bool { return false }
 	}
-	allNumeric, allString := true, true
-	for _, v := range list {
-		if !numericKind(v.Kind) {
-			allNumeric = false
-		}
-		if v.Kind != tuple.KindString {
-			allString = false
-		}
-	}
-	switch {
-	case allNumeric:
-		if len(list) > 8 {
-			set := make(map[int64]struct{}, len(list))
-			for _, v := range list {
-				set[v.Int] = struct{}{}
-			}
-			return func(row tuple.Row) bool {
-				_, ok := set[row[ord].Int]
-				return ok
-			}
-		}
-		vals := make([]int64, len(list))
-		for i, v := range list {
-			vals[i] = v.Int
-		}
-		return func(row tuple.Row) bool {
-			v := row[ord].Int
-			for _, c := range vals {
-				if v == c {
-					return true
-				}
-			}
-			return false
-		}
-	case allString:
+	if !numericKind(list[0].Kind) {
 		vals := make([]string, len(list))
 		for i, v := range list {
 			vals[i] = v.Str
@@ -236,5 +184,27 @@ func compileIn(ord int, list []tuple.Value) atomFn {
 			return false
 		}
 	}
-	return nil
+	if len(list) > 8 {
+		set := make(map[int64]struct{}, len(list))
+		for _, v := range list {
+			set[v.Int] = struct{}{}
+		}
+		return func(row tuple.Row) bool {
+			_, ok := set[row[ord].Int]
+			return ok
+		}
+	}
+	vals := make([]int64, len(list))
+	for i, v := range list {
+		vals[i] = v.Int
+	}
+	return func(row tuple.Row) bool {
+		v := row[ord].Int
+		for _, c := range vals {
+			if v == c {
+				return true
+			}
+		}
+		return false
+	}
 }

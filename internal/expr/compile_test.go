@@ -98,15 +98,22 @@ func TestCompiledMatchesEval(t *testing.T) {
 	}
 }
 
-// TestCompileRefusals: empty and unbound predicates must not compile, and an
+// TestCompileRefusals: the empty conjunction compiles to accept-all, an
+// unbound atom is refused with a panic (as Atom.Eval refuses it), and an
 // empty IN list always rejects.
 func TestCompileRefusals(t *testing.T) {
-	if cc := Compile(Conjunction{}); cc.OK() {
-		t.Error("empty conjunction compiled; want fallback")
+	row := tuple.Row{tuple.Int64(1), tuple.Str("x"), tuple.Date(0)}
+	if cc := Compile(Conjunction{}); !cc.OK() || !cc.Eval(row) || cc.FirstFail(row) != -1 {
+		t.Error("empty conjunction did not compile to accept-all")
 	}
-	if cc := Compile(And(NewAtom("a", Eq, tuple.Int64(1)))); cc.OK() {
-		t.Error("unbound atom compiled; want fallback")
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("unbound atom compiled")
+			}
+		}()
+		Compile(And(NewAtom("a", Eq, tuple.Int64(1))))
+	}()
 	schema := compileSchema(t)
 	emptyIn, err := And(Atom{Col: "a", Op: In}).Bind(schema)
 	if err != nil {

@@ -84,10 +84,26 @@ func NewIn(col string, vals ...tuple.Value) Atom {
 }
 
 // Bind resolves the atom's column against schema. It returns a bound copy.
+// Every constant must have the column's kind family — numeric (INT, DATE)
+// or string — since a bound atom compares them without further checks.
 func (a Atom) Bind(schema *tuple.Schema) (Atom, error) {
 	ord, ok := schema.Ordinal(a.Col)
 	if !ok {
 		return Atom{}, fmt.Errorf("expr: no column %q in schema %s", a.Col, schema)
+	}
+	kind := schema.Column(ord).Kind
+	consts := a.List
+	switch a.Op {
+	case In:
+	case Between:
+		consts = []tuple.Value{a.Val, a.Val2}
+	default:
+		consts = []tuple.Value{a.Val}
+	}
+	for _, v := range consts {
+		if numericKind(v.Kind) != numericKind(kind) {
+			return Atom{}, fmt.Errorf("expr: %s compares %s column %q with a %s constant", a, kind, a.Col, v.Kind)
+		}
 	}
 	a.ord = ord
 	a.bound = true

@@ -65,6 +65,37 @@ func TestAtomBindErrors(t *testing.T) {
 	}
 }
 
+// TestAtomBindRejectsKindMismatch: a constant of another kind family than
+// its column must not bind. Bound, it would compile to a comparison of the
+// wrong Value field (accepting every row) and panic in the generic
+// evaluator.
+func TestAtomBindRejectsKindMismatch(t *testing.T) {
+	for _, a := range []Atom{
+		NewAtom("state", Lt, tuple.Int64(5)),
+		NewAtom("id", Eq, tuple.Str("5")),
+		NewAtom("shipdate", Ge, tuple.Str("2007-06-01")),
+		NewBetween("id", tuple.Int64(1), tuple.Str("9")),
+		NewBetween("state", tuple.Str("A"), tuple.Int64(9)),
+		NewIn("vendorid", tuple.Int64(5), tuple.Str("7")),
+		NewIn("state", tuple.Str("CA"), tuple.Int64(7)),
+	} {
+		if _, err := a.Bind(salesSchema()); err == nil {
+			t.Errorf("%s bound despite a constant of the wrong kind", a)
+		}
+	}
+	// INT and DATE are one family: they compare through Value.Int.
+	for _, a := range []Atom{
+		NewAtom("shipdate", Lt, tuple.Int64(13665)),
+		NewAtom("id", Lt, tuple.Date(3)),
+		NewBetween("shipdate", tuple.Int64(1), tuple.Date(13670)),
+		NewIn("state"),
+	} {
+		if _, err := a.Bind(salesSchema()); err != nil {
+			t.Errorf("%s: %v", a, err)
+		}
+	}
+}
+
 func TestUnboundEvalPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

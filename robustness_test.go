@@ -403,3 +403,31 @@ func TestBufferPoolExhaustion(t *testing.T) {
 	assertNoPins(t, eng)
 	assertRecovered(t, eng, "SELECT COUNT(pad) FROM h", 10000)
 }
+
+// TestQueryRejectsConstantOfWrongKind: a predicate built through the public
+// constructors may compare a column with a constant of another kind. The
+// query must fail with a typed error, not answer from a comparison of the
+// wrong value field or panic mid-scan.
+func TestQueryRejectsConstantOfWrongKind(t *testing.T) {
+	eng := buildTestDB(t, 2000)
+	for _, pred := range []Conjunction{
+		And(NewAtom("padding", Lt, Int64(5))),
+		And(NewAtom("c5", Eq, Str("5"))),
+		And(NewIn("c2", Int64(1), Str("2"))),
+	} {
+		q, err := eng.ParseQuery("SELECT COUNT(padding) FROM t WHERE c2 < 5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Pred = pred
+		res, err := eng.RunQuery(q, nil)
+		if err == nil {
+			t.Errorf("%s: query answered %v", pred, res.Rows)
+			continue
+		}
+		var qe *QueryError
+		if !errors.As(err, &qe) {
+			t.Errorf("%s: untyped error %T: %v", pred, err, err)
+		}
+	}
+}
