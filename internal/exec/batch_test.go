@@ -6,24 +6,27 @@ import (
 	"pagefeedback/internal/tuple"
 )
 
-// countingSource is a batch-native stub child that emits rows forever and
-// counts exactly how it is driven, so tests can assert an operator stopped
-// pulling — not just that it stopped emitting.
+// countingSource is a stub child that emits rows forever and counts exactly
+// how it is driven, so tests can assert an operator stopped pulling — not
+// just that it stopped emitting. Each batch holds batchRows rows; when
+// rowByRow is set it also honors the consumer's row caps, like an operator
+// that builds its batch one row at a time.
 type countingSource struct {
 	schema     *tuple.Schema
-	batchRows  int
-	nextCalls  int
+	rowByRow   bool
+	finite     bool // emit the rows once, then end of stream
 	batchCalls int
+	produced   int
 	closes     int
 	rows       []tuple.Row
 	stats      OpStats
 }
 
-func newCountingSource(batchRows int) *countingSource {
+func newCountingSource(batchRows int, rowByRow bool) *countingSource {
 	s := &countingSource{
-		schema:    tuple.NewSchema(tuple.Column{Name: "v", Kind: tuple.KindInt}),
-		batchRows: batchRows,
-		stats:     OpStats{Label: "CountingSource"},
+		schema:   tuple.NewSchema(tuple.Column{Name: "v", Kind: tuple.KindInt}),
+		rowByRow: rowByRow,
+		stats:    OpStats{Label: "CountingSource"},
 	}
 	for i := 0; i < batchRows; i++ {
 		s.rows = append(s.rows, tuple.Row{tuple.Int64(int64(i))})
@@ -33,16 +36,19 @@ func newCountingSource(batchRows int) *countingSource {
 
 func (s *countingSource) Open() error { return nil }
 
-func (s *countingSource) Next() (tuple.Row, bool, error) {
-	s.nextCalls++
-	return s.rows[0], true, nil
-}
-
 func (s *countingSource) NextBatch(b *Batch) (int, error) {
 	s.batchCalls++
-	b.Rows = s.rows
-	b.Sel = identSel(b.Sel, len(s.rows))
-	return len(s.rows), nil
+	if s.finite && s.produced > 0 {
+		return 0, nil
+	}
+	n := len(s.rows)
+	if c := b.rowCap(); s.rowByRow && c < n {
+		n = c
+	}
+	s.produced += n
+	b.Rows = s.rows[:n]
+	b.Sel = identSel(b.Sel, n)
+	return n, nil
 }
 
 func (s *countingSource) Close() error { s.closes++; return nil }
@@ -51,18 +57,9 @@ func (s *countingSource) Schema() *tuple.Schema { return s.schema }
 
 func (s *countingSource) Stats() *OpStats { return &s.stats }
 
-// TestLimitBatchEarlyExit pins the batch path's limit contract: a batch that
-// crosses the limit is truncated by shrinking its selection vector, and once
-// the limit is hit the child is never pulled again — over an unbounded child,
-// anything else would hang or over-read.
-func TestLimitBatchEarlyExit(t *testing.T) {
-	ctx := NewContext(nil)
-	ctx.Vectorized = true
-	src := newCountingSource(10)
-	lim, err := NewLimit(ctx, src, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+// drainLimit pulls lim to end of stream and returns its batch sizes.
+func drainLimit(t *testing.T, lim *LimitOp) []int {
+	t.Helper()
 	if err := lim.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +78,30 @@ func TestLimitBatchEarlyExit(t *testing.T) {
 		}
 		sizes = append(sizes, n)
 	}
+	if err := lim.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return sizes
+}
+
+// TestLimitBatchEarlyExit pins the limit contract over a child with a fixed
+// batch unit (a scan's page): a batch that crosses the limit is truncated by
+// shrinking its selection vector, and once the limit is hit the child is
+// never pulled again — over an unbounded child, anything else would hang or
+// over-read.
+func TestLimitBatchEarlyExit(t *testing.T) {
+	ctx := NewContext(nil)
+	src := newCountingSource(10, false)
+	lim, err := NewLimit(ctx, src, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := drainLimit(t, lim)
 	if len(sizes) != 3 || sizes[0] != 10 || sizes[1] != 10 || sizes[2] != 5 {
 		t.Fatalf("batch sizes = %v, want [10 10 5]", sizes)
 	}
 	if src.batchCalls != 3 {
 		t.Fatalf("child pulled %d times, want exactly 3 (no pull after the limit is hit)", src.batchCalls)
-	}
-	if err := lim.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if src.closes != 1 {
 		t.Fatalf("child closed %d times, want 1", src.closes)
@@ -96,85 +109,80 @@ func TestLimitBatchEarlyExit(t *testing.T) {
 	if got := ctx.BatchesProcessed(); got != 3 {
 		t.Errorf("BatchesProcessed = %d, want 3", got)
 	}
-	if got := ctx.VectorizedOps(); got != 1 {
-		t.Errorf("VectorizedOps = %d, want 1 (noted once per operator, not per batch)", got)
-	}
 }
 
-// TestLimitRowEarlyExit is the same contract on the row path: exactly n pulls
-// from an unbounded child, then EOS without touching it again.
+// TestLimitRowEarlyExit: over a child that builds its batch row by row, the
+// limit's remaining count (Batch.Need) stops the child at exactly the rows
+// the limit returns — the cost of pulling one row at a time.
 func TestLimitRowEarlyExit(t *testing.T) {
 	ctx := NewContext(nil)
-	src := newCountingSource(1)
+	src := newCountingSource(BatchSize, true)
 	lim, err := NewLimit(ctx, src, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lim.Open(); err != nil {
+	sizes := drainLimit(t, lim)
+	if len(sizes) != 1 || sizes[0] != 25 {
+		t.Fatalf("batch sizes = %v, want [25]", sizes)
+	}
+	if src.produced != 25 {
+		t.Fatalf("child produced %d rows, want exactly 25", src.produced)
+	}
+	if src.closes != 1 {
+		t.Fatalf("child closed %d times, want 1", src.closes)
+	}
+}
+
+// TestRowCapsBoundBatches: Max caps one call and wins over a larger Need;
+// Need caps an operator that builds its batch row by row; with neither set
+// a batch holds up to BatchSize rows. The row cursor the merge and INL
+// joins read through asks for one row per pull.
+func TestRowCapsBoundBatches(t *testing.T) {
+	ctx := NewContext(nil)
+	rows := make([]tuple.Row, 2500)
+	for i := range rows {
+		rows[i] = tuple.Row{tuple.Int64(int64(len(rows) - i))}
+	}
+	src := newCountingSource(0, false)
+	src.rows, src.finite = rows, true
+	sort := NewSort(ctx, src, []int{0})
+	if err := sort.Open(); err != nil {
 		t.Fatal(err)
 	}
-	got := 0
+	for _, c := range []struct{ max, need, want int }{
+		{1, 0, 1}, {1, 7, 1}, {0, 7, 7}, {9, 4, 4}, {0, 0, BatchSize},
+	} {
+		b := Batch{Max: c.max, Need: c.need}
+		n, err := sort.NextBatch(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != c.want {
+			t.Errorf("Max=%d Need=%d: batch of %d rows, want %d", c.max, c.need, n, c.want)
+		}
+	}
+	if got, want := sort.Stats().ActRows, int64(1+1+7+4+BatchSize); got != want {
+		t.Errorf("Sort ActRows = %d, want %d (rows handed up, not rows held)", got, want)
+	}
+	cur := rowCursor{in: sort}
+	prev := int64(0)
 	for {
-		_, ok, err := lim.Next()
+		row, ok, err := cur.next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		got++
+		if row[0].Int <= prev {
+			t.Fatalf("cursor out of order: %d after %d", row[0].Int, prev)
+		}
+		prev = row[0].Int
+		if cur.b.Len() != 1 {
+			t.Fatalf("cursor pulled a batch of %d rows, want 1", cur.b.Len())
+		}
 	}
-	if got != 25 {
-		t.Fatalf("row path yielded %d rows, want 25", got)
-	}
-	if src.nextCalls != 25 {
-		t.Fatalf("child pulled %d times, want exactly 25", src.nextCalls)
-	}
-	if err := lim.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if src.closes != 1 {
-		t.Fatalf("child closed %d times, want 1", src.closes)
-	}
-	if ctx.BatchesProcessed() != 0 || ctx.VectorizedOps() != 0 {
-		t.Errorf("row path recorded batch stats: %d/%d", ctx.BatchesProcessed(), ctx.VectorizedOps())
+	if prev != int64(len(rows)) {
+		t.Errorf("cursor ended at %d, want %d", prev, len(rows))
 	}
 }
-
-// TestBatchAdapterBridgesRowOperators checks that a row-only operator pulled
-// through asBatch yields the same rows one per batch, preserving order.
-func TestBatchAdapterBridgesRowOperators(t *testing.T) {
-	ctx := NewContext(nil)
-	src := newCountingSource(1)
-	lim, err := NewLimit(ctx, src, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wrap the row-facing side explicitly: adapter over the limit.
-	ad := asBatch(Operator(&rowOnly{lim}))
-	if err := lim.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var b Batch
-	total := 0
-	for {
-		n, err := ad.NextBatch(&b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		if n != 1 || len(b.Sel) != 1 {
-			t.Fatalf("adapter emitted a batch of %d rows, want 1", n)
-		}
-		total++
-	}
-	if total != 7 {
-		t.Fatalf("adapter yielded %d rows, want 7", total)
-	}
-}
-
-// rowOnly hides an operator's batch capability so asBatch must fall back to
-// the adapter.
-type rowOnly struct{ Operator }

@@ -12,7 +12,7 @@
 // cells, comparator kind mismatches) into *OperatorPanic errors carrying the
 // failing operator's label, so one bad page fails one query, not the
 // process. And the shared execution Context carries a context.Context whose
-// cancellation the row loops of all storage-side operators observe, giving
+// cancellation the loops of all storage-side operators observe, giving
 // queries deadline and Ctrl-C semantics.
 package exec
 
@@ -44,12 +44,6 @@ type Context struct {
 	// against a per-query budget; exceeding it aborts the query with an
 	// error wrapping ErrMemBudget.
 	Mem *MemTracker
-	// Vectorized selects the batch-at-a-time execution path: blocking
-	// operators drain their inputs through NextBatch and the result sink
-	// pulls whole batches from the root. Off, every operator moves one row
-	// per Next call. The two paths produce identical results, feedback, and
-	// deterministic runtime stats; only the batch counters below differ.
-	Vectorized bool
 	// Trace, when non-nil, receives per-operator spans from every panic
 	// guard and partition spans from parallel workers. Nil is the tracing-
 	// off state: every emission site is behind a nil check, so the
@@ -63,12 +57,10 @@ type Context struct {
 	// threaded), so no synchronization is needed.
 	compiledPreds int64
 
-	// batches counts batch deliveries by batch-native operators; vecOps
-	// counts the operator instances that ran batch-native at least once.
-	// Both stay zero on the row path and on adapter-wrapped subtrees, so
-	// they are diagnostics, not part of the row/batch parity surface.
+	// batches counts batch deliveries. Batch sizes follow the consumers'
+	// row caps (Batch.Max, Batch.Need), so it is a diagnostic of execution
+	// shape, not part of the statistics contract.
 	batches int64
-	vecOps  int64
 
 	// goCtx is the query's cancellation scope; nil means uncancellable.
 	goCtx     context.Context
@@ -131,28 +123,15 @@ func (c *Context) touch(n int64) { c.rowsTouched += n }
 // noteCompiled records that one operator compiled its predicate.
 func (c *Context) noteCompiled() { c.compiledPreds++ }
 
-// noteBatch records one batch delivered by a batch-native operator.
+// noteBatch records one delivered batch.
 func (c *Context) noteBatch() { c.batches++ }
 
-// noteVectorized records — once per operator, keyed by the operator's own
-// noted flag — that an operator ran its batch-native path.
-func (c *Context) noteVectorized(noted *bool) {
-	if !*noted {
-		*noted = true
-		c.vecOps++
-	}
-}
-
-// BatchesProcessed returns the number of batches delivered by batch-native
-// operators so far.
+// BatchesProcessed returns the number of batches operators have delivered
+// so far.
 func (c *Context) BatchesProcessed() int64 { return c.batches }
 
-// VectorizedOps returns the number of operator instances that ran
-// batch-native.
-func (c *Context) VectorizedOps() int64 { return c.vecOps }
-
 // CompiledPredicates returns the number of operators in this execution that
-// run a compiled (type-specialized) predicate evaluator.
+// evaluate a non-empty predicate (always through the compiled evaluator).
 func (c *Context) CompiledPredicates() int64 { return c.compiledPreds }
 
 // RowsTouched returns the total rows processed by all operators so far.
@@ -164,10 +143,15 @@ func (c *Context) SimCPU() time.Duration {
 }
 
 // Operator is one physical operator instance. The protocol is
-// Open → Next* → Close; Next returns ok=false at end of stream.
+// Open → NextBatch* → Close. NextBatch fills b and returns the number of
+// live rows; n == 0 with a nil error is end of stream (operators never
+// deliver empty batches). A filled batch — Rows, Sel and the rows
+// themselves — is valid only until the next NextBatch call on the same
+// operator; consumers that keep rows (sorts, joins, the result sink) clone
+// them.
 type Operator interface {
 	Open() error
-	Next() (row tuple.Row, ok bool, err error)
+	NextBatch(b *Batch) (n int, err error)
 	Close() error
 	Schema() *tuple.Schema
 	Stats() *OpStats
@@ -190,8 +174,8 @@ type OpStats struct {
 	// per-operator actuals without runtime tree pointers.
 	OpID int32
 	// Wall and Calls are filled by the panic guard on traced runs only:
-	// inclusive wall time inside the operator (Open + all Next + Close)
-	// and the number of Next/NextBatch invocations.
+	// inclusive wall time inside the operator (Open + all NextBatch +
+	// Close) and the number of NextBatch invocations.
 	Wall  time.Duration
 	Calls int64
 }
@@ -218,17 +202,11 @@ func (p *OperatorPanic) Error() string {
 // their resources exactly as they do for storage faults.
 type guardOp struct {
 	inner Operator
-	// batch is the inner operator's batch view, resolved on first use: the
-	// operator itself when batch-native, an adapter otherwise. Because Build
-	// wraps every operator in a guard, every built operator is a
-	// BatchOperator, and batch-native parents reach their children's
-	// NextBatch without losing the panic boundary.
-	batch BatchOperator
 
 	// Tracing state. The guard is also the tracing hook: because every
 	// operator is wrapped in exactly one guard, instrumenting the guard
 	// instruments the whole tree without touching any operator. tr is nil
-	// when tracing is off. Per-call Next spans would make trace size
+	// when tracing is off. Per-call NextBatch spans would make trace size
 	// proportional to the data, so the guard accumulates and emits one
 	// summary span (plus open/close/lifetime spans) at first Close.
 	tr        *trace.Recorder
@@ -275,41 +253,17 @@ func (g *guardOp) Open() (err error) {
 	return err
 }
 
-// Next implements Operator.
-func (g *guardOp) Next() (row tuple.Row, ok bool, err error) {
-	defer g.recovered(&err)
-	if g.tr == nil {
-		return g.inner.Next()
-	}
-	t0 := g.tr.Now()
-	if g.calls == 0 {
-		g.firstNext = t0
-	}
-	row, ok, err = g.inner.Next()
-	t1 := g.tr.Now()
-	g.calls++
-	g.nextTotal += t1 - t0
-	g.lastNext = t1
-	if ok {
-		g.rows++
-	}
-	return row, ok, err
-}
-
-// NextBatch implements BatchOperator with the same panic boundary as Next.
+// NextBatch implements Operator.
 func (g *guardOp) NextBatch(b *Batch) (n int, err error) {
 	defer g.recovered(&err)
-	if g.batch == nil {
-		g.batch = asBatch(g.inner)
-	}
 	if g.tr == nil {
-		return g.batch.NextBatch(b)
+		return g.inner.NextBatch(b)
 	}
 	t0 := g.tr.Now()
 	if g.calls == 0 {
 		g.firstNext = t0
 	}
-	n, err = g.batch.NextBatch(b)
+	n, err = g.inner.NextBatch(b)
 	t1 := g.tr.Now()
 	g.calls++
 	g.nextTotal += t1 - t0
@@ -319,7 +273,7 @@ func (g *guardOp) NextBatch(b *Batch) (n int, err error) {
 }
 
 // Close implements Operator. On traced runs the first Close ends the
-// operator: it emits the close span, the Next summary span, and the
+// operator: it emits the close span, the NextBatch summary span, and the
 // lifetime span (each exactly once, whatever the teardown order of the
 // error paths), and publishes the accumulated wall time into the
 // operator's stats — a field the XML marshaling excludes, so the

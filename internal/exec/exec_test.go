@@ -120,6 +120,20 @@ func mustBind(t *testing.T, c expr.Conjunction, s *tuple.Schema) expr.Conjunctio
 	return b
 }
 
+// drainOp pulls op batch by batch to end of stream and returns the number
+// of live rows it delivered, or the first error.
+func drainOp(op Operator) (int, error) {
+	var b Batch
+	total := 0
+	for {
+		n, err := op.NextBatch(&b)
+		if err != nil || n == 0 {
+			return total, err
+		}
+		total += n
+	}
+}
+
 func runPlan(t *testing.T, e *env, node plan.Node, cfg *MonitorConfig) ([]tuple.Row, *Execution) {
 	t.Helper()
 	ctx := NewContext(e.pool)
@@ -574,16 +588,9 @@ func TestFilterOperator(t *testing.T) {
 	if err := f.Open(); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		_, ok, err := f.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
+	n, err := drainOp(f)
+	if err != nil {
+		t.Fatal(err)
 	}
 	f.Close()
 	if n != 10 {

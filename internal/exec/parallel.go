@@ -51,8 +51,7 @@ type rowMapFn func(wctx *Context, row tuple.Row, emit func(tuple.Row))
 type ParallelScan struct {
 	ctx      *Context
 	tab      *catalog.Table
-	pred     expr.Conjunction // bound
-	cc       expr.Compiled    // type-specialized pred; workers share it read-only
+	cc       expr.Compiled // the scan predicate, compiled; workers share it read-only
 	degree   int
 	monitors []*scanMonitor // templates; receive merged shard state
 	rowMap   rowMapFn       // optional probe push-down, set before Open
@@ -64,18 +63,15 @@ type ParallelScan struct {
 	wctxs     []*Context
 	shards    [][]*scanMonitor // shards[worker][monitor]
 	actRows   []int64          // per-worker rows passing the scan predicate
-	cur       parBatch
-	pos       int
 	stopped   bool
 	finalized bool
-	vecNoted  bool
 }
 
 // NewParallelScan builds a parallel scan of tab filtered by pred (bound to
 // the table's schema) with the given worker degree (>= 2).
 func NewParallelScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, degree int) *ParallelScan {
 	return &ParallelScan{
-		ctx: ctx, tab: tab, pred: pred, cc: compilePred(ctx, pred), degree: degree,
+		ctx: ctx, tab: tab, cc: compilePred(ctx, pred), degree: degree,
 		stats: OpStats{Label: fmt.Sprintf("ParallelScan(%s) x%d", tab.Name, degree)},
 	}
 }
@@ -221,21 +217,8 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 		}
 		wctx.touch(int64(batch.Len()))
 		failIdx = failIdx[:0]
-		if p.cc.OK() {
-			for _, row := range batch.Rows {
-				failIdx = append(failIdx, p.cc.FirstFail(row))
-			}
-		} else {
-			for _, row := range batch.Rows {
-				fi := -1
-				for i := range p.pred.Atoms {
-					if !p.pred.Atoms[i].Eval(row) {
-						fi = i
-						break
-					}
-				}
-				failIdx = append(failIdx, fi)
-			}
+		for _, row := range batch.Rows {
+			failIdx = append(failIdx, p.cc.FirstFail(row))
 		}
 		for _, m := range mons {
 			m.safeObservePage(&batch, failIdx)
@@ -296,35 +279,15 @@ func (p *ParallelScan) send(b parBatch) bool {
 	}
 }
 
-// Next implements Operator. The first error shipped by any worker surfaces
-// here; Close then tears the remaining workers down.
-func (p *ParallelScan) Next() (tuple.Row, bool, error) {
-	for {
-		if p.pos < len(p.cur.rows) {
-			row := p.cur.rows[p.pos]
-			p.pos++
-			return row, true, nil
-		}
-		msg, ok := <-p.out
-		if !ok {
-			p.finalize()
-			return nil, false, nil
-		}
-		if msg.err != nil {
-			return nil, false, msg.err
-		}
-		p.cur = msg
-		p.pos = 0
-	}
-}
-
-// NextBatch implements BatchOperator: each worker flush — an arena-backed
-// row slice the workers already ship whole through the exchange channel — is
-// forwarded to the consumer as one dense batch instead of being streamed row
-// by row. The arenas are private and never reused, so unlike page-batched
-// scans these batches stay valid after the next call.
+// NextBatch implements Operator: each worker flush — an arena-backed row
+// slice the workers ship whole through the exchange channel — is forwarded
+// to the consumer as one dense batch. The arenas are private and never
+// reused, so unlike page-batched scans these batches stay valid after the
+// next call. Row caps are ignored: rows are counted by the workers and
+// pages read by them ahead of the consumer either way. The first error
+// shipped by any worker surfaces here; Close then tears the remaining
+// workers down.
 func (p *ParallelScan) NextBatch(b *Batch) (int, error) {
-	p.ctx.noteVectorized(&p.vecNoted)
 	for {
 		msg, ok := <-p.out
 		if !ok {

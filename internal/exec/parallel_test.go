@@ -263,17 +263,7 @@ func TestParallelWorkerPanicSurfacesAsOperatorPanic(t *testing.T) {
 	if err := ps.Open(); err != nil {
 		t.Fatal(err)
 	}
-	var err error
-	for {
-		_, ok, e := ps.Next()
-		if e != nil {
-			err = e
-			break
-		}
-		if !ok {
-			break
-		}
-	}
+	_, err := drainOp(ps)
 	if cerr := ps.Close(); cerr != nil {
 		t.Fatalf("close: %v", cerr)
 	}

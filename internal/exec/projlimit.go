@@ -14,11 +14,9 @@ type ProjectOp struct {
 	schema *tuple.Schema
 	stats  OpStats
 
-	inBatch  BatchOperator
-	in       Batch
-	vals     []tuple.Value // flat arena backing the batch output rows
-	rows     []tuple.Row
-	vecNoted bool
+	in   Batch
+	vals []tuple.Value // flat arena backing the batch output rows
+	rows []tuple.Row
 }
 
 // NewProject builds the operator; ords index the input schema.
@@ -30,33 +28,16 @@ func NewProject(ctx *Context, input Operator, ords []int, schema *tuple.Schema) 
 // Open implements Operator.
 func (p *ProjectOp) Open() error { return p.input.Open() }
 
-// Next implements Operator.
-func (p *ProjectOp) Next() (tuple.Row, bool, error) {
-	row, ok, err := p.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	p.ctx.touch(1)
-	out := make(tuple.Row, len(p.ords))
-	for i, o := range p.ords {
-		out[i] = row[o]
-	}
-	p.stats.ActRows++
-	return out, true, nil
-}
-
-// NextBatch implements BatchOperator: the live rows of each input batch are
+// NextBatch implements Operator: the live rows of each input batch are
 // projected into one reused value arena, and the output row views are built
 // only after the arena has stopped growing (appends may move it). The arena
 // is high-water reuse of transient, batch-bounded memory — rebuilt from
-// length zero every call — so it is not charged against the memory budget,
-// keeping the two paths' accounting identical.
+// length zero every call — so it is not charged against the memory budget.
+// The projection is one row out per row in, so the consumer's row caps pass
+// through to the input.
 func (p *ProjectOp) NextBatch(b *Batch) (int, error) {
-	p.ctx.noteVectorized(&p.vecNoted)
-	if p.inBatch == nil {
-		p.inBatch = asBatch(p.input)
-	}
-	n, err := p.inBatch.NextBatch(&p.in)
+	p.in.Max, p.in.Need = b.Max, b.Need
+	n, err := p.input.NextBatch(&p.in)
 	if err != nil || n == 0 {
 		return 0, err
 	}
@@ -97,9 +78,6 @@ type LimitOp struct {
 	n     int
 	seen  int
 	stats OpStats
-
-	inBatch  BatchOperator
-	vecNoted bool
 }
 
 // NewLimit builds the operator.
@@ -116,34 +94,18 @@ func (l *LimitOp) Open() error {
 	return l.input.Open()
 }
 
-// Next implements Operator.
-func (l *LimitOp) Next() (tuple.Row, bool, error) {
-	if l.seen >= l.n {
-		return nil, false, nil
-	}
-	row, ok, err := l.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	l.stats.ActRows++
-	return row, true, nil
-}
-
-// NextBatch implements BatchOperator. A batch that crosses the limit is
-// truncated by shrinking its selection vector, and from then on the child is
-// never pulled again — mirroring the row path's guarantee that a LIMIT over
-// a scan does not read the rest of the table. The limit charges no CPU of
-// its own on either path.
+// NextBatch implements Operator. The remaining count travels down as
+// Batch.Need, so operators that build their batch row by row stop at it; a
+// batch that still crosses the limit (a scan's page) is truncated by
+// shrinking its selection vector. Once the limit is hit the child is never
+// pulled again, so a LIMIT over a scan does not read the rest of the table.
+// The limit charges no CPU of its own.
 func (l *LimitOp) NextBatch(b *Batch) (int, error) {
-	l.ctx.noteVectorized(&l.vecNoted)
 	if l.seen >= l.n {
 		return 0, nil
 	}
-	if l.inBatch == nil {
-		l.inBatch = asBatch(l.input)
-	}
-	n, err := l.inBatch.NextBatch(b)
+	b.Need = l.n - l.seen
+	n, err := l.input.NextBatch(b)
 	if err != nil || n == 0 {
 		return 0, err
 	}

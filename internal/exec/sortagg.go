@@ -10,9 +10,9 @@ import (
 
 // SortOp materializes and orders its input ascending by the given columns.
 // When a bit-vector filter is wired in, each drained row's join value is
-// added — since the first Next of a Sort blocks until the child is fully
-// consumed, the filter is complete before anything downstream (in
-// particular a Merge Join's inner scan) runs, the property §IV relies on.
+// added — since Open drains the child completely before anything
+// downstream (in particular a Merge Join's inner scan) runs, the filter is
+// complete in time, the property §IV relies on.
 type SortOp struct {
 	ctx    *Context
 	input  Operator
@@ -51,24 +51,28 @@ func (s *SortOp) Open() error {
 		return err
 	}
 	s.rows = s.rows[:0]
+	var b Batch
 	for {
-		row, ok, err := s.input.Next()
+		n, err := s.input.NextBatch(&b)
 		if err != nil {
-			s.input.Close() // release pins held mid-row (e.g. decode errors)
+			s.input.Close() // release pins held mid-batch (e.g. decode errors)
 			return err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		s.ctx.touch(1)
-		if s.filter != nil {
-			s.filter.Add(row[s.filterOrd])
+		s.ctx.touch(int64(n))
+		for _, i := range b.Sel {
+			row := b.Rows[i]
+			if s.filter != nil {
+				s.filter.Add(row[s.filterOrd])
+			}
+			if err := s.ctx.Mem.Grow(rowMemSize(row)); err != nil {
+				s.input.Close()
+				return err
+			}
+			s.rows = append(s.rows, row.Clone())
 		}
-		if err := s.ctx.Mem.Grow(rowMemSize(row)); err != nil {
-			s.input.Close()
-			return err
-		}
-		s.rows = append(s.rows, row.Clone())
 	}
 	if err := s.input.Close(); err != nil {
 		return err
@@ -88,15 +92,22 @@ func (s *SortOp) Open() error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *SortOp) Next() (tuple.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
+// NextBatch implements Operator: the next Batch.rowCap sorted rows, handed
+// up as a dense slice of the sorted buffer.
+func (s *SortOp) NextBatch(b *Batch) (int, error) {
+	n := len(s.rows) - s.pos
+	if n <= 0 {
+		return 0, nil
 	}
-	row := s.rows[s.pos]
-	s.pos++
-	s.stats.ActRows++
-	return row, true, nil
+	if c := b.rowCap(); n > c {
+		n = c
+	}
+	b.Rows = s.rows[s.pos : s.pos+n]
+	b.Sel = identSel(b.Sel, n)
+	s.pos += n
+	s.stats.ActRows += int64(n)
+	s.ctx.noteBatch()
+	return n, nil
 }
 
 // Close implements Operator.
@@ -115,70 +126,30 @@ func (s *SortOp) Stats() *OpStats { return &s.stats }
 type FilterOp struct {
 	ctx   *Context
 	input Operator
-	pred  expr.Conjunction // bound to input schema
-	cc    expr.Compiled    // type-specialized pred, when compilable
+	cc    expr.Compiled // the residual predicate, compiled
 	stats OpStats
-
-	inBatch  BatchOperator
-	vecNoted bool
 }
 
 // NewFilter constructs the operator.
 func NewFilter(ctx *Context, input Operator, pred expr.Conjunction) *FilterOp {
-	return &FilterOp{ctx: ctx, input: input, pred: pred, cc: compilePred(ctx, pred),
+	return &FilterOp{ctx: ctx, input: input, cc: compilePred(ctx, pred),
 		stats: OpStats{Label: "Filter(" + pred.String() + ")"}}
 }
 
 // Open implements Operator.
 func (f *FilterOp) Open() error { return f.input.Open() }
 
-// Next implements Operator.
-func (f *FilterOp) Next() (tuple.Row, bool, error) {
-	for {
-		row, ok, err := f.input.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		f.ctx.touch(1)
-		sat := false
-		if f.cc.OK() {
-			sat = f.cc.Eval(row)
-		} else {
-			sat = f.pred.Eval(row)
-		}
-		if sat {
-			f.stats.ActRows++
-			return row, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: the filter never materializes rows, it
-// only compacts the batch's selection vector — column-at-a-time through the
-// compiled evaluator when the predicate compiled, per-row through the
-// generic one otherwise.
+// NextBatch implements Operator: the filter never materializes rows, it
+// only compacts the batch's selection vector, column-at-a-time. The
+// consumer's row caps pass through to the input unchanged.
 func (f *FilterOp) NextBatch(b *Batch) (int, error) {
-	f.ctx.noteVectorized(&f.vecNoted)
-	if f.inBatch == nil {
-		f.inBatch = asBatch(f.input)
-	}
 	for {
-		n, err := f.inBatch.NextBatch(b)
+		n, err := f.input.NextBatch(b)
 		if err != nil || n == 0 {
 			return 0, err
 		}
 		f.ctx.touch(int64(n))
-		if f.cc.OK() {
-			b.Sel = f.cc.EvalBatch(b.Rows, b.Sel)
-		} else {
-			out := b.Sel[:0]
-			for _, i := range b.Sel {
-				if f.pred.Eval(b.Rows[i]) {
-					out = append(out, i)
-				}
-			}
-			b.Sel = out
-		}
+		b.Sel = f.cc.EvalBatch(b.Rows, b.Sel)
 		if len(b.Sel) == 0 {
 			continue
 		}
@@ -207,9 +178,8 @@ type AggOp struct {
 	schema *tuple.Schema
 	stats  OpStats
 
-	done     bool
-	out      [1]tuple.Row
-	vecNoted bool
+	done bool
+	out  [1]tuple.Row
 }
 
 // NewAgg constructs the operator. fn is one of "count", "sum", "min", "max";
@@ -244,111 +214,69 @@ func (a *AggOp) Open() error {
 	return a.input.Open()
 }
 
-// Next implements Operator. The drain pulls whole batches from the input
-// when the context is vectorized (CPU charged per batch of live rows) and
-// single rows otherwise; the accumulation is shared, so the two paths fold
-// identically.
-func (a *AggOp) Next() (tuple.Row, bool, error) {
+// NextBatch implements Operator: the first call drains the input batch by
+// batch (CPU charged per batch of live rows) and delivers the aggregate as
+// a one-row batch; later calls are end of stream. The fold uses
+// kind-specialized loops, the switch hoisted out of the per-row path.
+func (a *AggOp) NextBatch(b *Batch) (int, error) {
 	if a.done {
-		return nil, false, nil
+		return 0, nil
 	}
 	var count, sum int64
 	var minV, maxV tuple.Value
 	first := true
-	acc := func(row tuple.Row) {
-		count++
-		if a.ord >= 0 {
-			v := row[a.ord]
-			if v.Kind != tuple.KindString {
-				sum += v.Int
-			}
-			if first || v.Compare(minV) < 0 {
-				minV = v
-			}
-			if first || v.Compare(maxV) > 0 {
-				maxV = v
-			}
-			first = false
+	var in Batch
+	for {
+		n, err := a.input.NextBatch(&in)
+		if err != nil {
+			return 0, err
 		}
-	}
-	if a.ctx.Vectorized {
-		// The batch drain folds with kind-specialized loops — the switch
-		// hoisted out of the per-row path, which the batch layout makes
-		// possible. Each loop computes exactly what the acc closure would
-		// have left in its accumulator, so the output below cannot tell the
-		// paths apart.
-		in := asBatch(a.input)
-		var b Batch
-		for {
-			n, err := in.NextBatch(&b)
-			if err != nil {
-				return nil, false, err
-			}
-			if n == 0 {
-				break
-			}
-			a.ctx.touch(int64(n))
-			switch a.fn {
-			case 'c':
-				// COUNT(col) counts rows like COUNT(*) does (the engine has
-				// no NULLs), so the whole selection folds at once.
-				count += int64(len(b.Sel))
-			case 's':
-				for _, i := range b.Sel {
-					v := b.Rows[i][a.ord]
-					if v.Kind != tuple.KindString {
-						sum += v.Int
-					}
-				}
-				count += int64(len(b.Sel))
-			default:
-				for _, i := range b.Sel {
-					acc(b.Rows[i])
+		if n == 0 {
+			break
+		}
+		a.ctx.touch(int64(n))
+		switch a.fn {
+		case 'c':
+			// COUNT(col) counts rows like COUNT(*) does (the engine has no
+			// NULLs), so the whole selection folds at once.
+			count += int64(n)
+		case 's':
+			for _, i := range in.Sel {
+				if v := in.Rows[i][a.ord]; v.Kind != tuple.KindString {
+					sum += v.Int
 				}
 			}
-		}
-	} else {
-		for {
-			row, ok, err := a.input.Next()
-			if err != nil {
-				return nil, false, err
+		default:
+			for _, i := range in.Sel {
+				v := in.Rows[i][a.ord]
+				if first || v.Compare(minV) < 0 {
+					minV = v
+				}
+				if first || v.Compare(maxV) > 0 {
+					maxV = v
+				}
+				first = false
 			}
-			if !ok {
-				break
-			}
-			a.ctx.touch(1)
-			acc(row)
 		}
 	}
 	a.done = true
 	a.stats.ActRows = 1
+	var out int64
 	switch a.fn {
 	case 'c':
-		return tuple.Row{tuple.Int64(count)}, true, nil
+		out = count
 	case 's':
-		return tuple.Row{tuple.Int64(sum)}, true, nil
+		out = sum
 	case 'm':
-		if first {
-			return tuple.Row{tuple.Int64(0)}, true, nil
+		if !first {
+			out = minV.Int
 		}
-		return tuple.Row{tuple.Int64(minV.Int)}, true, nil
 	default:
-		if first {
-			return tuple.Row{tuple.Int64(0)}, true, nil
+		if !first {
+			out = maxV.Int
 		}
-		return tuple.Row{tuple.Int64(maxV.Int)}, true, nil
 	}
-}
-
-// NextBatch implements BatchOperator: the aggregate's output is a single
-// row, delivered as a one-row batch after the (batch-at-a-time) drain.
-func (a *AggOp) NextBatch(b *Batch) (int, error) {
-	a.ctx.noteVectorized(&a.vecNoted)
-	row, ok, err := a.Next()
-	if err != nil || !ok {
-		return 0, err
-	}
-	a.out[0] = row
+	a.out[0] = tuple.Row{tuple.Int64(out)}
 	b.Rows = a.out[:]
 	b.Sel = append(b.Sel[:0], 0)
 	a.ctx.noteBatch()

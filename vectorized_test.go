@@ -32,10 +32,9 @@ func buildVecDB(t *testing.T, n int) *Engine {
 	return eng
 }
 
-// vecParityQueries covers every vectorized operator plus the row-only ones
-// behind the adapter: predicate scans, an index-driven selection, projection,
-// LIMIT, ORDER BY (Sort stays row-at-a-time), GROUP BY, aggregation, and a
-// hash join on unindexed columns.
+// vecParityQueries covers the common operators: predicate scans, an
+// index-driven selection, projection, LIMIT, ORDER BY, GROUP BY,
+// aggregation, and a hash join on unindexed columns.
 var vecParityQueries = []string{
 	"SELECT COUNT(padding) FROM t WHERE c2 < 2000",
 	"SELECT c1, c5 FROM t WHERE c5 < 500",
@@ -46,8 +45,8 @@ var vecParityQueries = []string{
 	"SELECT COUNT(padding) FROM t, u WHERE u.c1 < 500 AND u.fk = t.c5",
 }
 
-// renderRows renders result rows in order — the row and batch paths must
-// agree on order too, not just content.
+// renderRows renders result rows in order: order is part of a result, not
+// just content.
 func renderRows(res *Result) []string {
 	out := make([]string, 0, len(res.Rows))
 	for _, r := range res.Rows {
@@ -81,89 +80,41 @@ func renderDPCResults(res *Result) []string {
 func renderInt(v int64) string { return Int64(v).String() }
 
 // deterministicRuntime zeroes the fields of a runtime-stats record that are
-// legitimately path- or timing-dependent, leaving the slice both executors
-// must agree on byte for byte: simulated cost, read counts, rows touched,
-// memory peak, monitor accounting, compiled predicates.
+// timing- or batch-shape-dependent, leaving the slice that is part of the
+// statistics contract: simulated cost, read counts, rows touched, memory
+// peak, monitor accounting, compiled predicates.
 func deterministicRuntime(rt exec.RuntimeStats) exec.RuntimeStats {
 	rt.QueueWait, rt.QueueDepth = 0, 0
 	rt.PoolWaits, rt.PoolWaitTime = 0, 0
 	rt.PrefetchedPages = 0
 	rt.PlanCacheHit = false
-	rt.BatchesProcessed, rt.VectorizedOps = 0, 0
+	rt.BatchesProcessed = 0
 	return rt
 }
 
-// TestVectorizedRowParity runs the parity query sequence under the default
-// batch executor on one engine and under VecOff on a second engine over
-// identical data, and requires bit-for-bit agreement on everything
-// observable: row content and order, monitored DPC feedback, and the
-// deterministic runtime stats — rows touched above all, since per-operator
-// CPU accounting is the easiest thing for a batch rewrite to skew. (Two
-// engines, not two interleaved runs on one: the IO model classifies a
-// query's first read as sequential or random based on where the previous
-// query left the disk head, so only identical run sequences compare.)
-func TestVectorizedRowParity(t *testing.T) {
-	vecEng := buildVecDB(t, 12000)
-	rowEng := buildVecDB(t, 12000)
-	for _, q := range vecParityQueries {
-		vec, err := vecEng.Query(q, &RunOptions{MonitorAll: true})
-		if err != nil {
-			t.Fatalf("%s (vectorized): %v", q, err)
-		}
-		row, err := rowEng.Query(q, &RunOptions{MonitorAll: true, Vectorized: VecOff})
-		if err != nil {
-			t.Fatalf("%s (row): %v", q, err)
-		}
-		if got, want := renderRows(vec), renderRows(row); !equalStringSlices(got, want) {
-			t.Errorf("%s: rows diverge between paths\n vec: %v\n row: %v", q, got, want)
-		}
-		if got, want := renderDPCResults(vec), renderDPCResults(row); !equalStringSlices(got, want) {
-			t.Errorf("%s: DPC feedback diverges\n vec: %v\n row: %v", q, got, want)
-		}
-		vrt, rrt := vec.Stats.Runtime, row.Stats.Runtime
-		if vrt.RowsTouched != rrt.RowsTouched {
-			t.Errorf("%s: RowsTouched diverges: vectorized %d, row %d", q, vrt.RowsTouched, rrt.RowsTouched)
-		}
-		if got, want := deterministicRuntime(vrt), deterministicRuntime(rrt); got != want {
-			t.Errorf("%s: runtime stats diverge\n vec: %+v\n row: %+v", q, got, want)
-		}
-		if vrt.BatchesProcessed == 0 || vrt.VectorizedOps == 0 {
-			t.Errorf("%s: vectorized run reported no batch execution (%d batches, %d ops)",
-				q, vrt.BatchesProcessed, vrt.VectorizedOps)
-		}
-		if rrt.BatchesProcessed != 0 || rrt.VectorizedOps != 0 {
-			t.Errorf("%s: row run reported batch execution (%d batches, %d ops)",
-				q, rrt.BatchesProcessed, rrt.VectorizedOps)
-		}
-	}
-}
-
-// TestVectorizedRawPathParity is TestVectorizedRowParity without monitors:
-// unmonitored scans of fixed-width tables take the late-materializing raw
-// path (the predicate judged on encoded page bytes, only survivors
-// decoded), and that path must be invisible too — same rows, same rows
-// touched, same deterministic runtime stats.
+// TestVectorizedRawPathParity: unmonitored scans of fixed-width tables take
+// the late-materializing raw path (the predicate judged on encoded page
+// bytes, only survivors decoded), monitored ones decode every row so the
+// monitors can observe it. The raw path must be invisible: the same rows,
+// rows touched and deterministic runtime stats as the decoding path, on a
+// second engine that ran the same sequence.
 func TestVectorizedRawPathParity(t *testing.T) {
-	vecEng := buildVecDB(t, 12000)
-	rowEng := buildVecDB(t, 12000)
+	rawEng := buildVecDB(t, 12000)
+	decEng := buildVecDB(t, 12000)
 	for _, q := range vecParityQueries {
-		vec, err := vecEng.Query(q, nil)
+		raw, err := rawEng.Query(q, nil)
 		if err != nil {
-			t.Fatalf("%s (vectorized): %v", q, err)
+			t.Fatalf("%s (raw): %v", q, err)
 		}
-		row, err := rowEng.Query(q, &RunOptions{Vectorized: VecOff})
+		dec, err := decEng.Query(q, &RunOptions{MonitorAll: true})
 		if err != nil {
-			t.Fatalf("%s (row): %v", q, err)
+			t.Fatalf("%s (decoding): %v", q, err)
 		}
-		if got, want := renderRows(vec), renderRows(row); !equalStringSlices(got, want) {
-			t.Errorf("%s: rows diverge between paths\n vec: %v\n row: %v", q, got, want)
+		if got, want := renderRows(raw), renderRows(dec); !equalStringSlices(got, want) {
+			t.Errorf("%s: rows diverge between paths\n raw: %v\n dec: %v", q, got, want)
 		}
-		vrt, rrt := vec.Stats.Runtime, row.Stats.Runtime
-		if vrt.RowsTouched != rrt.RowsTouched {
-			t.Errorf("%s: RowsTouched diverges: vectorized %d, row %d", q, vrt.RowsTouched, rrt.RowsTouched)
-		}
-		if got, want := deterministicRuntime(vrt), deterministicRuntime(rrt); got != want {
-			t.Errorf("%s: runtime stats diverge\n vec: %+v\n row: %+v", q, got, want)
+		if got, want := deterministicRuntime(raw.Stats.Runtime), deterministicRuntime(dec.Stats.Runtime); got != want {
+			t.Errorf("%s: runtime stats diverge\n raw: %+v\n dec: %+v", q, got, want)
 		}
 	}
 }
@@ -178,34 +129,4 @@ func equalStringSlices(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// TestExplainVectorizedLabels checks that EXPLAIN names the operators that
-// would run batch-native, and drops the line entirely when the row path is
-// forced.
-func TestExplainVectorizedLabels(t *testing.T) {
-	eng := buildVecDB(t, 4000)
-	out, err := eng.ExplainWithOptions("SELECT c1, c5 FROM t WHERE c5 < 500", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "vectorized: ") {
-		t.Fatalf("explain output has no vectorized line:\n%s", out)
-	}
-	line := ""
-	for _, l := range strings.Split(out, "\n") {
-		if strings.HasPrefix(l, "vectorized: ") {
-			line = l
-		}
-	}
-	if !strings.Contains(line, "Scan") {
-		t.Errorf("vectorized line does not mention the scan: %q", line)
-	}
-	off, err := eng.ExplainWithOptions("SELECT c1, c5 FROM t WHERE c5 < 500", &RunOptions{Vectorized: VecOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(off, "vectorized: ") {
-		t.Errorf("explain with VecOff still prints a vectorized line:\n%s", off)
-	}
 }
