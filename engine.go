@@ -465,12 +465,6 @@ func (e *Engine) monitorConfig(q *opt.Query, opts *RunOptions) *exec.MonitorConf
 	return cfg
 }
 
-// Execute runs a physical plan (background context). The cache is cold
-// unless opts.WarmCache.
-func (e *Engine) Execute(node plan.Node, mcfg *exec.MonitorConfig, opts *RunOptions) (*Result, error) {
-	return e.ExecuteContext(context.Background(), node, mcfg, opts)
-}
-
 // ExecuteContext runs a physical plan under goCtx. Execution errors —
 // storage faults, recovered panics, cancellation — surface as *QueryError
 // wrapping the cause; all operator Close paths run before it returns, so

@@ -18,6 +18,7 @@ type GroupAggOp struct {
 	schema   *tuple.Schema
 	stats    OpStats
 
+	key        []byte // the encoded group value of the current row
 	out        []tuple.Row
 	pos        int
 	outCharged int // result rows already charged to the memory tracker
@@ -119,17 +120,19 @@ func (g *GroupAggOp) Open() error {
 }
 
 // accumulate folds one input row into its group's state, charging the
-// memory tracker when the row starts a new group.
+// memory tracker when the row starts a new group. The group value is encoded
+// into the reused key buffer; a key string is allocated only for a new
+// group.
 func (g *GroupAggOp) accumulate(groups map[string]*groupState, row tuple.Row) error {
 	gv := row[g.groupOrd]
-	key := string(tuple.EncodeKey(gv))
-	st := groups[key]
+	g.key = tuple.AppendKey(g.key[:0], gv)
+	st := groups[string(g.key)]
 	if st == nil {
-		if err := g.ctx.Mem.Grow(groupStateMemSize + int64(len(key)) + mapEntryOverhead); err != nil {
+		if err := g.ctx.Mem.Grow(groupStateMemSize + int64(len(g.key)) + mapEntryOverhead); err != nil {
 			return err
 		}
 		st = &groupState{key: gv}
-		groups[key] = st
+		groups[string(g.key)] = st
 	}
 	st.count++
 	if g.aggOrd >= 0 {

@@ -26,13 +26,13 @@ type HashJoinOp struct {
 
 	table map[string][]tuple.Row
 
-	// Probe state: the pulled probe batch, its key column, and the joined
-	// output. All are transient high-water-reuse buffers bounded by one
-	// batch — rebuilt from length zero every NextBatch — so none are
-	// charged to the memory budget.
-	pb   Batch
-	keys []string
-	out  rowArena
+	// Build and probe state: the encoded key of the current row, the
+	// pulled probe batch, and the joined output. All are transient
+	// high-water-reuse buffers bounded by one batch — rebuilt from length
+	// zero every NextBatch — so none are charged to the memory budget.
+	key []byte
+	pb  Batch
+	out rowArena
 
 	// parProbe is set when the probe input is a parallel scan: after the
 	// build phase the probe is pushed down into the scan workers, which
@@ -81,12 +81,14 @@ func (j *HashJoinOp) Open() error {
 		for _, i := range b.Sel {
 			row := b.Rows[i]
 			v := row[j.buildOrd]
-			key := string(tuple.EncodeKey(v))
 			if err := j.ctx.Mem.Grow(rowMemSize(row) + mapEntryOverhead); err != nil {
 				j.build.Close()
 				return err
 			}
-			j.table[key] = append(j.table[key], row.Clone())
+			// The lookup reads the key buffer in place; only the map
+			// write copies it into a string.
+			j.key = tuple.AppendKey(j.key[:0], v)
+			j.table[string(j.key)] = append(j.table[string(j.key)], row.Clone())
 			if j.filter != nil {
 				j.filter.Add(v)
 			}
@@ -97,14 +99,13 @@ func (j *HashJoinOp) Open() error {
 	}
 	if j.parProbe != nil {
 		// Partitioned probe: each scan worker looks up the now-immutable
-		// hash table and emits the joined rows itself. Per-row CPU is
-		// charged on the worker's context, mirroring the serial probe loop.
-		j.parProbe.SetRowMap(func(wctx *Context, row tuple.Row, emit func(tuple.Row)) {
+		// hash table through its own key buffer and appends the joined rows
+		// straight to its output arena. Per-row CPU is charged on the
+		// worker's context, mirroring the serial probe loop.
+		j.parProbe.SetProbe(func(wctx *Context, row tuple.Row, key []byte) ([]tuple.Row, []byte) {
 			wctx.touch(1)
-			key := string(tuple.EncodeKey(row[j.probeOrd]))
-			for _, b := range j.table[key] {
-				emit(joinRows(b, row))
-			}
+			key = tuple.AppendKey(key[:0], row[j.probeOrd])
+			return j.table[string(key)], key
 		})
 	}
 	return j.probe.Open()
@@ -112,12 +113,11 @@ func (j *HashJoinOp) Open() error {
 
 // NextBatch implements Operator for the probe phase. With a partitioned
 // probe the exchange's arena-backed batches are forwarded whole — already
-// joined by the workers. Serially, the whole probe batch is hashed first
-// (one tight EncodeKey loop over the key column), then probed, and the
-// matches are copied into the output arena. Under a LIMIT the probe input
-// is asked for one row per pull (Need = 1), so operators that build their
-// batch row by row read no further than the limit requires; scans deliver
-// their page regardless.
+// joined by the workers. Serially, each probe row's key is encoded into the
+// reused key buffer and looked up, and the matches are copied into the
+// output arena. Under a LIMIT the probe input is asked for one row per pull
+// (Need = 1), so operators that build their batch row by row read no
+// further than the limit requires; scans deliver their page regardless.
 func (j *HashJoinOp) NextBatch(b *Batch) (int, error) {
 	if j.parProbe != nil {
 		n, err := j.probe.NextBatch(b)
@@ -134,16 +134,14 @@ func (j *HashJoinOp) NextBatch(b *Batch) (int, error) {
 			return 0, err
 		}
 		j.ctx.touch(int64(n))
-		j.keys = j.keys[:0]
-		for _, i := range j.pb.Sel {
-			j.keys = append(j.keys, string(tuple.EncodeKey(j.pb.Rows[i][j.probeOrd])))
-		}
 		j.out.vals = j.out.vals[:0]
 		j.out.bounds = j.out.bounds[:0]
-		for ki, i := range j.pb.Sel {
-			for _, build := range j.table[j.keys[ki]] {
+		for _, i := range j.pb.Sel {
+			row := j.pb.Rows[i]
+			j.key = tuple.AppendKey(j.key[:0], row[j.probeOrd])
+			for _, build := range j.table[string(j.key)] {
 				j.out.vals = append(j.out.vals, build...)
-				j.out.vals = append(j.out.vals, j.pb.Rows[i]...)
+				j.out.vals = append(j.out.vals, row...)
 				j.out.endRow()
 			}
 		}
@@ -165,15 +163,6 @@ func (j *HashJoinOp) Schema() *tuple.Schema { return j.schema }
 
 // Stats implements Operator.
 func (j *HashJoinOp) Stats() *OpStats { return &j.stats }
-
-// joinRows concatenates an outer and inner row (outer columns first,
-// matching plan.JoinSchema).
-func joinRows(outer, inner tuple.Row) tuple.Row {
-	out := make(tuple.Row, 0, len(outer)+len(inner))
-	out = append(out, outer...)
-	out = append(out, inner...)
-	return out
-}
 
 // MergeJoinOp joins two inputs already ordered by their join columns. If a
 // bit-vector filter is wired in, every consumed outer value is added to it

@@ -20,19 +20,59 @@ const parFlushRows = 1024
 // prefetch as it advances through its page range.
 const parPrefetchChunk = 16
 
-// parBatch is one message from a scan worker to the consumer: either a slice
-// of fully materialized rows (backed by a private arena, never reused) or a
-// terminal error.
+// parBatch is one message from a scan worker to the consumer: an arena of
+// materialized rows, or a terminal error.
 type parBatch struct {
-	rows []tuple.Row
-	err  error
+	out *parArena
+	err error
 }
 
-// rowMapFn is a per-row transform pushed down into parallel scan workers — the
+// parArena is a worker's output arena. One arena travels from a worker,
+// through the exchange channel, to the consumer, and back to the scan's free
+// list, so a scan allocates only the arenas it has in flight at once.
+type parArena struct {
+	rowArena
+	charged int // values already charged to the current query's budget
+}
+
+// arenaPool keeps output arenas across parallel scans: a closing scan
+// returns its arenas here, and a scan whose free list is empty takes one
+// from here before allocating.
+var arenaPool = sync.Pool{New: func() any { return new(parArena) }}
+
+// add appends one output row, the concatenation of head and tail, charging
+// the query's memory budget first for the values that take the arena past
+// the most it has held in this query. A recycled arena is therefore charged
+// again only for growth, and a scan's charge is bounded by the arenas it has
+// in flight, not by the rows it delivers.
+func (a *parArena) add(mem *MemTracker, head, tail tuple.Row) error {
+	width := len(head) + len(tail)
+	n := len(a.vals) + width
+	if err := mem.Grow(int64(n-a.charged) * valueMemSize); err != nil {
+		return err
+	}
+	a.charged = max(a.charged, n)
+	if a.vals == nil {
+		// A fresh arena is sized for a full flush up front: growing it by
+		// append doubling would allocate (and copy) about twice the final
+		// size in discarded steps. Flushes happen on page boundaries, so
+		// leave headroom for the last page's overshoot past parFlushRows.
+		a.vals = make([]tuple.Value, 0, (parFlushRows+parFlushRows/2)*width)
+		a.bounds = make([]int, 0, parFlushRows+parFlushRows/2)
+	}
+	a.vals = append(a.vals, head...)
+	a.vals = append(a.vals, tail...)
+	a.endRow()
+	return nil
+}
+
+// probeFn is a hash-join probe pushed down into parallel scan workers — the
 // partitioned probe phase of a parallel hash join. It runs on worker
-// goroutines against read-only shared state and emits zero or more output
-// rows per input row.
-type rowMapFn func(wctx *Context, row tuple.Row, emit func(tuple.Row))
+// goroutines against read-only shared state and returns the build rows that
+// match a probe row; the worker emits each match joined with the row. key is
+// a scratch buffer private to the worker, returned (possibly grown) for the
+// next row.
+type probeFn func(wctx *Context, row tuple.Row, key []byte) (matches []tuple.Row, keyOut []byte)
 
 // ParallelScan executes a full table scan as a partition-parallel exchange:
 // the table is split into contiguous page-disjoint partitions (heap PID
@@ -51,13 +91,15 @@ type rowMapFn func(wctx *Context, row tuple.Row, emit func(tuple.Row))
 type ParallelScan struct {
 	ctx      *Context
 	tab      *catalog.Table
-	cc       expr.Compiled // the scan predicate, compiled; workers share it read-only
+	filt     scanFilter // the scan predicate; workers share it read-only
 	degree   int
 	monitors []*scanMonitor // templates; receive merged shard state
-	rowMap   rowMapFn       // optional probe push-down, set before Open
+	probe    probeFn        // optional probe push-down, set before Open
 	stats    OpStats
 
 	out       chan parBatch
+	free      chan *parArena // arenas the consumer is done with
+	held      *parArena      // the arena behind the last delivered batch
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	wctxs     []*Context
@@ -71,7 +113,7 @@ type ParallelScan struct {
 // the table's schema) with the given worker degree (>= 2).
 func NewParallelScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, degree int) *ParallelScan {
 	return &ParallelScan{
-		ctx: ctx, tab: tab, cc: compilePred(ctx, pred), degree: degree,
+		ctx: ctx, tab: tab, filt: newScanFilter(ctx, pred, tab.Schema), degree: degree,
 		stats: OpStats{Label: fmt.Sprintf("ParallelScan(%s) x%d", tab.Name, degree)},
 	}
 }
@@ -87,10 +129,10 @@ func (p *ParallelScan) Table() *catalog.Table { return p.tab }
 // Degree returns the number of partitions the scan was asked to run with.
 func (p *ParallelScan) Degree() int { return p.degree }
 
-// SetRowMap pushes a per-row transform into the workers (parallel hash-join
-// probe). Must be called before Open; the transform's shared state must be
-// read-only by then.
-func (p *ParallelScan) SetRowMap(fn rowMapFn) { p.rowMap = fn }
+// SetProbe pushes a hash-join probe into the workers, which then emit
+// (build row, probe row) concatenations instead of scanned rows. Must be
+// called before Open; the probe's shared state must be read-only by then.
+func (p *ParallelScan) SetProbe(fn probeFn) { p.probe = fn }
 
 // Open implements Operator: it partitions the table and starts one worker
 // per partition. A closer goroutine shuts the output channel once every
@@ -102,6 +144,9 @@ func (p *ParallelScan) Open() error {
 	}
 	p.stop = make(chan struct{})
 	p.out = make(chan parBatch, 2*p.degree)
+	// Every arena of the scan is at a worker, in the channel, held by the
+	// consumer, or on the free list, so the free list never fills.
+	p.free = make(chan *parArena, len(parts)+cap(p.out)+1)
 	p.stopped = false
 	p.finalized = false
 	p.wctxs = p.wctxs[:0]
@@ -125,18 +170,22 @@ func (p *ParallelScan) Open() error {
 	return nil
 }
 
-// worker drains one partition. It owns its iterator, row batch, monitor
-// shard, and context; the only shared mutable state it touches is the output
-// channel. A panic anywhere inside — decode failures, monitor bugs escaping
-// the quarantine guard — is converted to an *OperatorPanic and shipped to the
-// consumer like any other error, so the process-wide panic boundary holds
-// across goroutines.
+// worker drains one partition. It owns its iterator, page buffer, output
+// arena, monitor shard, and context; the only shared mutable state it
+// touches is the exchange and free-list channels. A panic anywhere inside —
+// decode failures, monitor bugs escaping the quarantine guard — is converted
+// to an *OperatorPanic and shipped to the consumer like any other error, so
+// the process-wide panic boundary holds across goroutines.
 func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mons []*scanMonitor) {
+	var out *parArena // the arena being filled; nil until a row passes
 	defer p.wg.Done()
 	defer part.Iter.Close()
 	defer func() {
 		if r := recover(); r != nil {
 			p.send(parBatch{err: recoveredPanic(p.stats.Label, r)})
+		}
+		if out != nil {
+			arenaPool.Put(out)
 		}
 	}()
 	// On traced runs every worker emits one partition span into the shared
@@ -156,102 +205,83 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 	}
 
 	var (
-		batch   catalog.RowBatch
-		failIdx []int
-		arena   []tuple.Value
-		bounds  []int // prefix lengths into arena, one per pending row
-		pages   int
+		pg    pageSel
+		key   []byte // the probe's key scratch
+		pages int
 	)
-	// Arenas are sized for a full batch up front: growing one by append
-	// doubling would allocate (and memcpy) ~2x the final size in discarded
-	// steps on every flush, which on a busy query is most of the exchange
-	// overhead. Flushes happen on page boundaries, so leave headroom for the
-	// last page's overshoot past parFlushRows.
-	arenaCap := 0
-	var memErr error
-	emit := func(row tuple.Row) {
-		if memErr != nil {
-			return
+	// emit moves the page's survivors — or, under a pushed-down probe,
+	// their joined rows — into the output arena.
+	emit := func() error {
+		if out == nil {
+			out = p.arena()
 		}
-		if arena == nil {
-			if arenaCap == 0 {
-				arenaCap = (parFlushRows + parFlushRows/2) * len(row)
+		for _, i := range pg.live {
+			row := pg.batch.Rows[i]
+			if p.probe == nil {
+				if err := out.add(wctx.Mem, row, nil); err != nil {
+					return err
+				}
+				continue
 			}
-			// Arenas are retained by the consumer, so each one is charged
-			// against the query's memory budget when allocated.
-			if memErr = wctx.Mem.Grow(int64(arenaCap) * valueMemSize); memErr != nil {
-				return
+			var matches []tuple.Row
+			matches, key = p.probe(wctx, row, key)
+			for _, b := range matches {
+				if err := out.add(wctx.Mem, b, row); err != nil {
+					return err
+				}
 			}
-			arena = make([]tuple.Value, 0, arenaCap)
 		}
-		arena = append(arena, row...)
-		bounds = append(bounds, len(arena))
-	}
-	flush := func() bool {
-		if len(bounds) == 0 {
-			return true
-		}
-		rows := make([]tuple.Row, len(bounds))
-		lo := 0
-		for i, hi := range bounds {
-			rows[i] = tuple.Row(arena[lo:hi:hi])
-			lo = hi
-		}
-		if !p.send(parBatch{rows: rows}) {
-			return false
-		}
-		arena = nil // handed to the consumer; start a fresh arena
-		bounds = bounds[:0]
-		return true
+		return nil
 	}
 
 	p.prefetch(part, 0)
-	for part.Iter.NextPage(&batch) {
-		if err := wctx.interrupted(); err != nil {
+	for {
+		ok, err := p.filt.next(wctx, part.Iter, mons, &pg)
+		if err != nil {
 			p.send(parBatch{err: err})
 			return
+		}
+		if !ok {
+			break
 		}
 		pages++
 		if pages%parPrefetchChunk == 0 {
 			p.prefetch(part, pages)
 		}
-		wctx.touch(int64(batch.Len()))
-		failIdx = failIdx[:0]
-		for _, row := range batch.Rows {
-			failIdx = append(failIdx, p.cc.FirstFail(row))
+		if len(pg.live) == 0 {
+			continue
 		}
-		for _, m := range mons {
-			m.safeObservePage(&batch, failIdx)
-		}
-		for i, row := range batch.Rows {
-			if failIdx[i] != -1 {
-				continue
-			}
-			p.actRows[idx]++
-			if p.rowMap != nil {
-				p.rowMap(wctx, row, emit)
-			} else {
-				emit(row)
-			}
-		}
-		if memErr != nil {
-			p.send(parBatch{err: memErr})
+		p.actRows[idx] += int64(len(pg.live))
+		if err := emit(); err != nil {
+			p.send(parBatch{err: err})
 			return
 		}
-		if len(bounds) >= parFlushRows {
-			if !flush() {
+		if out.n() >= parFlushRows {
+			if !p.send(parBatch{out: out}) {
 				return
 			}
+			out = nil
 		}
 	}
-	if err := part.Iter.Err(); err != nil {
-		p.send(parBatch{err: err})
-		return
+	if out != nil && out.n() > 0 && p.send(parBatch{out: out}) {
+		out = nil
 	}
-	for _, m := range mons {
-		m.safeFinish()
+}
+
+// arena returns an empty output arena: one the consumer has handed back,
+// else one from the process-wide pool, which this query has not been
+// charged for yet.
+func (p *ParallelScan) arena() *parArena {
+	var a *parArena
+	select {
+	case a = <-p.free:
+	default:
+		a = arenaPool.Get().(*parArena)
+		a.charged = 0
 	}
-	flush()
+	a.vals = a.vals[:0]
+	a.bounds = a.bounds[:0]
+	return a
 }
 
 // prefetch asks the pool to read ahead the next chunk of the partition's
@@ -279,37 +309,37 @@ func (p *ParallelScan) send(b parBatch) bool {
 	}
 }
 
-// NextBatch implements Operator: each worker flush — an arena-backed row
-// slice the workers ship whole through the exchange channel — is forwarded
-// to the consumer as one dense batch. The arenas are private and never
-// reused, so unlike page-batched scans these batches stay valid after the
-// next call. Row caps are ignored: rows are counted by the workers and
-// pages read by them ahead of the consumer either way. The first error
-// shipped by any worker surfaces here; Close then tears the remaining
-// workers down.
+// NextBatch implements Operator: each worker flush — an arena of rows the
+// workers ship whole through the exchange channel — is forwarded to the
+// consumer as one dense batch. The batch is valid until the next NextBatch
+// or Close, as with page-batched scans: the next call hands its arena back
+// to the workers for refilling. Row caps are ignored: rows are counted by
+// the workers and pages read by them ahead of the consumer either way. The
+// first error shipped by any worker surfaces here; Close then tears the
+// remaining workers down.
 func (p *ParallelScan) NextBatch(b *Batch) (int, error) {
-	for {
-		msg, ok := <-p.out
-		if !ok {
-			p.finalize()
-			return 0, nil
-		}
-		if msg.err != nil {
-			return 0, msg.err
-		}
-		if len(msg.rows) == 0 {
-			continue
-		}
-		b.Rows = msg.rows
-		b.Sel = identSel(b.Sel, len(msg.rows))
-		p.ctx.noteBatch()
-		return len(msg.rows), nil
+	if p.held != nil {
+		p.free <- p.held
+		p.held = nil
 	}
+	msg, ok := <-p.out
+	if !ok {
+		p.finalize()
+		return 0, nil
+	}
+	if msg.err != nil {
+		return 0, msg.err
+	}
+	p.held = msg.out
+	n := msg.out.emit(b)
+	p.ctx.noteBatch()
+	return n, nil
 }
 
 // Close implements Operator: it signals the workers to stop, drains the
 // channel so none of them blocks on a send, waits for all of them to exit,
-// and merges their state. Safe to call multiple times.
+// and merges their state. Every arena of the scan then goes back to the
+// process-wide pool. Safe to call multiple times.
 func (p *ParallelScan) Close() error {
 	if p.stop == nil {
 		return nil // never opened
@@ -318,10 +348,24 @@ func (p *ParallelScan) Close() error {
 		p.stopped = true
 		close(p.stop)
 	}
-	for range p.out {
+	for msg := range p.out {
+		if msg.out != nil {
+			arenaPool.Put(msg.out)
+		}
 	}
 	p.finalize()
-	return nil
+	if p.held != nil {
+		arenaPool.Put(p.held)
+		p.held = nil
+	}
+	for {
+		select {
+		case a := <-p.free:
+			arenaPool.Put(a)
+		default:
+			return nil
+		}
+	}
 }
 
 // finalize runs once, after every worker has exited (the channel closing or
@@ -346,9 +390,9 @@ func (p *ParallelScan) finalize() {
 	}
 }
 
-// Schema implements Operator. With a row map installed the emitted rows are
-// the map's output shape (the parent that installed it reports that schema);
-// without one, the table's.
+// Schema implements Operator. With a probe installed the emitted rows are
+// joined rows (the join that installed it reports that schema); without
+// one, the table's.
 func (p *ParallelScan) Schema() *tuple.Schema { return p.tab.Schema }
 
 // Stats implements Operator. ActRows counts rows passing the scan predicate,

@@ -257,7 +257,7 @@ func TestParallelWorkerPanicSurfacesAsOperatorPanic(t *testing.T) {
 	ctx := NewContext(e.pool)
 	ctx.Parallelism = 4
 	ps := NewParallelScan(ctx, e.sales, expr.Conjunction{}, 4)
-	ps.SetRowMap(func(wctx *Context, row tuple.Row, emit func(tuple.Row)) {
+	ps.SetProbe(func(wctx *Context, row tuple.Row, key []byte) ([]tuple.Row, []byte) {
 		panic("boom in worker")
 	})
 	if err := ps.Open(); err != nil {

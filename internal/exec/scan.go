@@ -15,17 +15,14 @@ import (
 type SEScan struct {
 	ctx      *Context
 	tab      *catalog.Table
-	cc       expr.Compiled    // the scan predicate, compiled
-	rawCC    expr.RawCompiled // the predicate over encoded rows, when compilable
-	krange   *expr.KeyRange   // clustered range seek, nil = full scan
+	filt     scanFilter
+	krange   *expr.KeyRange // clustered range seek, nil = full scan
 	monitors []*scanMonitor
 	stats    OpStats
 
-	it      *catalog.RowIter
-	batch   catalog.RowBatch
-	failIdx []int // per batch row: first failing atom, -1 = row passes
-	live    []int // current page's surviving rows
-	pos     int   // next entry of live to deliver
+	it  *catalog.RowIter
+	pg  pageSel
+	pos int // next entry of pg.live to deliver
 	// lastRID is the RID of the last row delivered: for a merge join, which
 	// pulls one row at a time, the inner row it is looking at (the RE→SE
 	// callback for partial bit-vector filters reports it back).
@@ -35,16 +32,14 @@ type SEScan struct {
 // NewSEScan builds a scan of tab filtered by pred (already bound to the
 // table's schema).
 func NewSEScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction) *SEScan {
-	return &SEScan{ctx: ctx, tab: tab, cc: compilePred(ctx, pred),
-		rawCC: expr.CompileRaw(pred, tab.Schema),
+	return &SEScan{ctx: ctx, tab: tab, filt: newScanFilter(ctx, pred, tab.Schema),
 		stats: OpStats{Label: "Scan(" + tab.Name + ")"}}
 }
 
 // NewSEClusterRangeScan builds a clustered index range seek over krange,
 // still applying the full pred to each scanned row.
 func NewSEClusterRangeScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, krange *expr.KeyRange) *SEScan {
-	return &SEScan{ctx: ctx, tab: tab, cc: compilePred(ctx, pred),
-		rawCC: expr.CompileRaw(pred, tab.Schema), krange: krange,
+	return &SEScan{ctx: ctx, tab: tab, filt: newScanFilter(ctx, pred, tab.Schema), krange: krange,
 		stats: OpStats{Label: "RangeScan(" + tab.Name + ")"}}
 }
 
@@ -76,87 +71,114 @@ func (s *SEScan) Open() error {
 		return err
 	}
 	s.it = it
-	s.live = s.live[:0]
+	s.pg.live = s.pg.live[:0]
 	s.pos = 0
 	return nil
 }
 
 // NextBatch implements Operator. The scan is page-batched: each data page
-// is pinned once and filtered as a whole (loadPage), and its survivors are
-// handed up with a selection vector over the page's rows — all of them, or
-// at most Batch.Max per call when the consumer advances row by row.
+// is pinned once and filtered as a whole (scanFilter.next), and its
+// survivors are handed up with a selection vector over the page's rows —
+// all of them, or at most Batch.Max per call when the consumer advances row
+// by row.
 func (s *SEScan) NextBatch(b *Batch) (int, error) {
-	for s.pos >= len(s.live) {
-		ok, err := s.loadPage()
+	for s.pos >= len(s.pg.live) {
+		s.pos = 0
+		ok, err := s.filt.next(s.ctx, s.it, s.monitors, &s.pg)
 		if err != nil || !ok {
 			return 0, err
 		}
 	}
-	live := s.live[s.pos:]
+	live := s.pg.live[s.pos:]
 	if b.Max > 0 && len(live) > b.Max {
 		live = live[:b.Max]
 	}
 	s.pos += len(live)
-	s.lastRID = s.batch.RIDs[live[len(live)-1]]
-	b.Rows = s.batch.Rows
+	s.lastRID = s.pg.batch.RIDs[live[len(live)-1]]
+	b.Rows = s.pg.batch.Rows
 	b.Sel = append(b.Sel[:0], live...)
 	s.stats.ActRows += int64(len(live))
 	s.ctx.noteBatch()
 	return len(live), nil
 }
 
-// loadPage pins and filters the next data page: poll cancellation, charge
-// CPU for every row on the page, and select the survivors. With monitors
-// attached the predicate is evaluated atom by atom per row (prefix monitors
-// reuse the short-circuited results, §III-B) and every monitor observes the
-// page in one callback. Without monitors nothing needs the per-row
-// first-failing atom: the predicate runs over the encoded page bytes when
-// it compiled to the raw evaluator (only survivors are decoded), else
-// column-at-a-time over the decoded page. Returns false at end of scan,
-// after closing the monitors' last page.
-func (s *SEScan) loadPage() (bool, error) {
-	s.pos, s.live = 0, s.live[:0]
-	if len(s.monitors) == 0 && s.rawCC.OK() {
-		total, ok := s.it.NextPageFiltered(&s.batch, s.rawCC.Eval)
+// scanFilter is a scan predicate compiled for both ways of filtering a
+// page: cc over decoded rows, and keep over the encoded cells when the
+// predicate compiled to the raw evaluator (nil otherwise). It is read-only
+// after construction, so the workers of a parallel scan share one.
+type scanFilter struct {
+	cc   expr.Compiled
+	keep func(enc []byte) bool
+}
+
+func newScanFilter(ctx *Context, pred expr.Conjunction, schema *tuple.Schema) scanFilter {
+	f := scanFilter{cc: compilePred(ctx, pred)}
+	if raw := expr.CompileRaw(pred, schema); raw.OK() {
+		f.keep = raw.Eval
+	}
+	return f
+}
+
+// pageSel is the page buffer and survivor selection of one page iterator:
+// a serial scan's, or one parallel-scan worker's.
+type pageSel struct {
+	batch   catalog.RowBatch
+	failIdx []int // per batch row: first failing atom, -1 = row passes
+	live    []int // the page's surviving rows
+}
+
+// next pins and filters the next data page of it into pg: poll
+// cancellation, charge ctx CPU for every row on the page, and select the
+// survivors into pg.live. With monitors attached the predicate is evaluated
+// atom by atom per row (prefix monitors reuse the short-circuited results,
+// §III-B) and every monitor observes the page in one callback. Without
+// monitors nothing needs the per-row first-failing atom: the predicate runs
+// over the encoded page bytes when it compiled to the raw evaluator (only
+// survivors are decoded), else column-at-a-time over the decoded page.
+// Returns false at end of scan, after closing the monitors' last page.
+func (f *scanFilter) next(ctx *Context, it *catalog.RowIter, mons []*scanMonitor, pg *pageSel) (bool, error) {
+	pg.live = pg.live[:0]
+	if len(mons) == 0 && f.keep != nil {
+		total, ok := it.NextPageFiltered(&pg.batch, f.keep)
 		if !ok {
-			return false, s.it.Err()
+			return false, it.Err()
 		}
-		if err := s.ctx.interrupted(); err != nil {
+		if err := ctx.interrupted(); err != nil {
 			return false, err
 		}
-		s.ctx.touch(int64(total))
-		s.live = identSel(s.live, s.batch.Len())
+		ctx.touch(int64(total))
+		pg.live = identSel(pg.live, pg.batch.Len())
 		return true, nil
 	}
-	if !s.it.NextPage(&s.batch) {
-		if err := s.it.Err(); err != nil {
+	if !it.NextPage(&pg.batch) {
+		if err := it.Err(); err != nil {
 			return false, err
 		}
-		for _, m := range s.monitors {
+		for _, m := range mons {
 			m.safeFinish()
 		}
 		return false, nil
 	}
-	if err := s.ctx.interrupted(); err != nil {
+	if err := ctx.interrupted(); err != nil {
 		return false, err
 	}
-	s.ctx.touch(int64(s.batch.Len()))
-	s.live = identSel(s.live, s.batch.Len())
-	if len(s.monitors) == 0 {
-		s.live = s.cc.EvalBatch(s.batch.Rows, s.live)
+	ctx.touch(int64(pg.batch.Len()))
+	pg.live = identSel(pg.live, pg.batch.Len())
+	if len(mons) == 0 {
+		pg.live = f.cc.EvalBatch(pg.batch.Rows, pg.live)
 		return true, nil
 	}
-	s.failIdx = s.failIdx[:0]
-	for _, row := range s.batch.Rows {
-		s.failIdx = append(s.failIdx, s.cc.FirstFail(row))
+	pg.failIdx = pg.failIdx[:0]
+	for _, row := range pg.batch.Rows {
+		pg.failIdx = append(pg.failIdx, f.cc.FirstFail(row))
 	}
-	for _, m := range s.monitors {
-		m.safeObservePage(&s.batch, s.failIdx)
+	for _, m := range mons {
+		m.safeObservePage(&pg.batch, pg.failIdx)
 	}
-	s.live = s.live[:0]
-	for i, fi := range s.failIdx {
+	pg.live = pg.live[:0]
+	for i, fi := range pg.failIdx {
 		if fi == -1 {
-			s.live = append(s.live, i)
+			pg.live = append(pg.live, i)
 		}
 	}
 	return true, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -109,4 +110,70 @@ func TestParallelFeedbackMatchesSerialEngineLevel(t *testing.T) {
 		}
 	}
 	assertNoPins(t, eng)
+}
+
+// TestParallelStressTwoEnginesShareArenaPool: the output arenas of parallel
+// scans come from one process-wide pool, and every scan hands its arenas
+// back at Close. Goroutines run row-returning parallel scans, hash joins and
+// GROUP BYs against two engines at once, each result is compared with the
+// serial run's row multiset: an arena refilled while a consumer still read
+// it would show as a wrong row, and under -race as a data race.
+func TestParallelStressTwoEnginesShareArenaPool(t *testing.T) {
+	raiseProcs(t, 4)
+	engs := []*Engine{joinTestEnv(t, 8000), joinTestEnv(t, 6000)}
+	queries := []string{
+		"SELECT c1, padding FROM t WHERE c5 < 3000",
+		"SELECT t.c1, u.c1 FROM t, u WHERE u.c1 < 2000 AND u.c2 = t.c2",
+		"SELECT c2, COUNT(*) FROM t WHERE c5 < 4000 GROUP BY c2",
+	}
+	canon := func(rows []Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprint(r)
+		}
+		sort.Strings(out)
+		return out
+	}
+	want := make([][][]string, len(engs))
+	for e, eng := range engs {
+		for _, sql := range queries {
+			res, err := eng.Query(sql, &RunOptions{WarmCache: true})
+			if err != nil {
+				t.Fatalf("engine %d %q serial: %v", e, sql, err)
+			}
+			want[e] = append(want[e], canon(res.Rows))
+		}
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				e, q := (w+i)%len(engs), (w+i/2)%len(queries)
+				deg := 2 + 2*(i%2)
+				res, err := engs[e].Query(queries[q], &RunOptions{WarmCache: true, Parallelism: deg})
+				if err != nil {
+					errs <- fmt.Errorf("worker %d engine %d %q p=%d: %v", w, e, queries[q], deg, err)
+					return
+				}
+				if got := canon(res.Rows); !reflect.DeepEqual(got, want[e][q]) {
+					errs <- fmt.Errorf("worker %d engine %d %q p=%d: %d rows differ from the serial %d",
+						w, e, queries[q], deg, len(got), len(want[e][q]))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, eng := range engs {
+		assertNoPins(t, eng)
+	}
 }
