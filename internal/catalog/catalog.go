@@ -549,13 +549,15 @@ func (it *RowIter) NextPage(b *RowBatch) bool {
 	return true
 }
 
-// NextPageFiltered is NextPage for consumers that can judge a row from its
-// encoded bytes (late materialization): keep decides each cell, only
-// accepted cells are decoded into b, and the returned total counts every
-// cell of the page — the caller's CPU accounting charges whole pages
-// exactly as the decoding path does. keep must accept cells it cannot
-// interpret, so corruption still surfaces as a decode error.
-func (it *RowIter) NextPageFiltered(b *RowBatch, keep func(enc []byte) bool) (int, bool) {
+// NextPageFiltered is NextPage for consumers that judge a row from its
+// encoded bytes (late materialization), monitored scans included: keep
+// decides each cell in page order, only accepted cells are decoded into b,
+// and the returned total counts every cell of the page — the caller's CPU
+// accounting charges whole pages exactly as the decoding path does. keep
+// sees each cell's RID, so it knows the page before judging its first row.
+// keep must accept cells it cannot interpret, so corruption still surfaces
+// as a decode error.
+func (it *RowIter) NextPageFiltered(b *RowBatch, keep func(rid storage.RID, enc []byte) bool) (int, bool) {
 	if it.err != nil || it.done {
 		return 0, false
 	}
@@ -569,7 +571,7 @@ func (it *RowIter) NextPageFiltered(b *RowBatch, keep func(enc []byte) bool) (in
 		ok := it.pscan.NextPage(func(rid storage.RID, cell []byte) error {
 			b.PID = rid.Page
 			total++
-			if !keep(cell) {
+			if !keep(rid, cell) {
 				return nil
 			}
 			return b.add(it.table.Schema, rid, cell)
@@ -587,7 +589,7 @@ func (it *RowIter) NextPageFiltered(b *RowBatch, keep func(enc []byte) bool) (in
 		}
 		b.PID = rid.Page
 		total++
-		if !keep(val) {
+		if !keep(rid, val) {
 			return true
 		}
 		if err := b.add(it.table.Schema, rid, val); err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/core"
+	"pagefeedback/internal/expr"
 	"pagefeedback/internal/plan"
 	"pagefeedback/internal/tuple"
 )
@@ -362,7 +363,7 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 				m.gc = core.NewGroupedCounter()
 			case lvl == 1:
 				m.kind = monSampled
-				m.pred = bound
+				m.cc = expr.Compile(bound)
 				m.dps = core.NewDPSample(e.cfg.sampleFraction(), e.nextSeed())
 				m.shed = true
 				m.shedReason = "load-shed: exact grouped counting degraded to page sampling (level 1)"
@@ -382,7 +383,7 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 			// off, so bound the cost with page sampling (Fig 4). Shedding
 			// thins the sampling fraction instead of changing mechanism.
 			m.kind = monSampled
-			m.pred = bound
+			m.cc = expr.Compile(bound)
 			f := e.cfg.sampleFraction()
 			switch {
 			case lvl == 1:

@@ -163,9 +163,10 @@ type scanMonitor struct {
 	gc        *core.GroupedCounter
 	rows      int64 // qualifying rows (cardinality feedback)
 
-	// monSampled: independent evaluation of pred on sampled pages.
-	pred expr.Conjunction // bound
-	dps  *core.DPSample
+	// monSampled: independent evaluation of the monitored predicate, compiled
+	// once at attach, on sampled pages.
+	cc  expr.Compiled
+	dps *core.DPSample
 
 	// monJoinFilter: bitvector membership of the join column.
 	filter     *core.BitVectorFilter
@@ -203,7 +204,7 @@ type scanMonitor struct {
 // partition barrier.
 func (m *scanMonitor) shard() *scanMonitor {
 	s := &scanMonitor{
-		req: m.req, kind: m.kind, prefixLen: m.prefixLen, pred: m.pred,
+		req: m.req, kind: m.kind, prefixLen: m.prefixLen, cc: m.cc,
 		filter: m.filter, joinColOrd: m.joinColOrd,
 		disabled: m.disabled, failure: m.failure, injectFail: m.injectFail,
 		shed: m.shed, shedReason: m.shedReason, overheadBudget: m.overheadBudget,
@@ -285,7 +286,7 @@ func (m *scanMonitor) shedOff(reason string) {
 // the monitor machinery (including the core counters) disables this monitor
 // and returns control to the scan, which continues as if the monitor were
 // never attached — monitoring failures must never fail the host query.
-func (m *scanMonitor) safeObservePage(b *catalog.RowBatch, failIdx []int) {
+func (m *scanMonitor) safeObservePage(b *catalog.RowBatch, h pageHits) {
 	if m.disabled {
 		return
 	}
@@ -299,7 +300,7 @@ func (m *scanMonitor) safeObservePage(b *catalog.RowBatch, failIdx []int) {
 	}
 	if m.overheadBudget > 0 {
 		start := time.Now()
-		m.observePage(b, failIdx)
+		m.observePage(b, h)
 		m.obsTime += time.Since(start)
 		if m.obsTime > m.overheadBudget {
 			m.shedOff(fmt.Sprintf("load-shed: observation overhead %v exceeded budget %v",
@@ -307,7 +308,7 @@ func (m *scanMonitor) safeObservePage(b *catalog.RowBatch, failIdx []int) {
 		}
 		return
 	}
-	m.observePage(b, failIdx)
+	m.observePage(b, h)
 }
 
 // safeLateMatch is lateMatch behind the quarantine guard.
@@ -344,33 +345,40 @@ func (m *scanMonitor) safeFinish() {
 	}
 }
 
+// pageHits summarizes one page's short-circuited scan-predicate results:
+// pass rows satisfied every atom, and fails[k] rows failed atom k first.
+// Prefix monitors derive their result from it for free (§III-B).
+type pageHits struct {
+	pass  int
+	fails []int
+}
+
+// prefix returns how many of the page's rows satisfy the scan predicate's
+// first n atoms.
+func (h pageHits) prefix(n int) int {
+	rows := h.pass
+	for _, c := range h.fails[n:] {
+		rows += c
+	}
+	return rows
+}
+
 // observePage processes one page's worth of scanned rows in a single call —
-// the page-batched form of the paper's per-row SE instrumentation. failIdx[i]
-// is the index of the first scan-predicate atom that evaluated false for
-// b.Rows[i] under short-circuiting, or -1 if the row passed; prefix monitors
-// derive their result from it for free. Page-granular mechanisms (grouped
+// the page-batched form of the paper's per-row SE instrumentation. Prefix
+// monitors read h; sampling monitors evaluate b.Rows, which then holds every
+// row of the page (see samplesPage). Page-granular mechanisms (grouped
 // counting, DPSample) make exactly one counter transition per page, so
 // batching removes per-row monitor overhead rather than hiding it.
-func (m *scanMonitor) observePage(b *catalog.RowBatch, failIdx []int) {
+func (m *scanMonitor) observePage(b *catalog.RowBatch, h pageHits) {
 	switch m.kind {
 	case monExactPrefix:
-		hit := false
-		for _, fi := range failIdx {
-			if fi == -1 || fi >= m.prefixLen {
-				m.rows++
-				hit = true
-			}
-		}
-		m.gc.Observe(b.PID, hit)
+		n := h.prefix(m.prefixLen)
+		m.rows += int64(n)
+		m.gc.Observe(b.PID, n > 0)
 	case monLinear:
-		hit := false
-		for _, fi := range failIdx {
-			if fi == -1 || fi >= m.prefixLen {
-				m.rows++
-				hit = true
-			}
-		}
-		if hit {
+		n := h.prefix(m.prefixLen)
+		m.rows += int64(n)
+		if n > 0 {
 			m.lc.AddPID(b.PID)
 		}
 	case monSampled:
@@ -379,7 +387,7 @@ func (m *scanMonitor) observePage(b *catalog.RowBatch, failIdx []int) {
 		if m.dps.StartRow(b.PID) {
 			hit := false
 			for _, row := range b.Rows {
-				if m.pred.Eval(row) {
+				if m.cc.Eval(row) {
 					m.rows++
 					hit = true
 				}
@@ -398,6 +406,19 @@ func (m *scanMonitor) observePage(b *catalog.RowBatch, failIdx []int) {
 			m.dps.Observe(hit)
 		}
 	}
+}
+
+// samplesPage reports whether observing page pid makes some monitor of mons
+// evaluate rows of its own — a sampling or join-filter monitor whose sample
+// holds the page — so the scan must decode every row of it, not only its
+// survivors. It changes no monitor state.
+func samplesPage(mons []*scanMonitor, pid storage.PageID) bool {
+	for _, m := range mons {
+		if !m.disabled && (m.kind == monSampled || m.kind == monJoinFilter) && m.dps.InSample(pid) {
+			return true
+		}
+	}
+	return false
 }
 
 // filterSink is the RE-side face of a join-filter monitor: joins and sorts

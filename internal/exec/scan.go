@@ -103,54 +103,94 @@ func (s *SEScan) NextBatch(b *Batch) (int, error) {
 }
 
 // scanFilter is a scan predicate compiled for both ways of filtering a
-// page: cc over decoded rows, and keep over the encoded cells when the
-// predicate compiled to the raw evaluator (nil otherwise). It is read-only
-// after construction, so the workers of a parallel scan share one.
+// page: cc over decoded rows, and raw over the encoded cells when every atom
+// reads a column of the schema's leading fixed-width run (raw.OK()). It is
+// read-only after construction, so the workers of a parallel scan share one.
 type scanFilter struct {
-	cc   expr.Compiled
-	keep func(enc []byte) bool
+	cc  expr.Compiled
+	raw expr.RawCompiled
 }
 
 func newScanFilter(ctx *Context, pred expr.Conjunction, schema *tuple.Schema) scanFilter {
-	f := scanFilter{cc: compilePred(ctx, pred)}
-	if raw := expr.CompileRaw(pred, schema); raw.OK() {
-		f.keep = raw.Eval
-	}
-	return f
+	return scanFilter{cc: compilePred(ctx, pred), raw: expr.CompileRaw(pred, schema)}
 }
 
 // pageSel is the page buffer and survivor selection of one page iterator:
 // a serial scan's, or one parallel-scan worker's.
 type pageSel struct {
-	batch   catalog.RowBatch
-	failIdx []int // per batch row: first failing atom, -1 = row passes
-	live    []int // the page's surviving rows
+	batch catalog.RowBatch
+	live  []int // the page's surviving rows, as indices into batch.Rows
+	// fails[k] counts the page's rows whose first failing atom is k — with
+	// the survivor count, what prefix monitors observe. Kept only when
+	// monitors are attached.
+	fails []int
+	// whole is set when batch holds every row of the page, not only the
+	// survivors: the predicate did not compile raw, or a monitor samples
+	// the page and evaluates its own predicate on every row. failIdx then
+	// holds each row's first failing atom, -1 = the row passes.
+	whole   bool
+	failIdx []int
+	fresh   bool                           // no cell of the current page judged yet
+	judge   func(storage.RID, []byte) bool // the raw path's cell judge, bound once
+}
+
+// judgeCells returns pg's NextPageFiltered callback, built on first use (f
+// and mons are the same on every call for one iterator). It judges a cell on
+// its bytes and, with monitors attached, counts its first failing atom and
+// keeps every cell of a page some monitor samples.
+func (pg *pageSel) judgeCells(f *scanFilter, mons []*scanMonitor) func(storage.RID, []byte) bool {
+	if pg.judge == nil {
+		pg.judge = func(rid storage.RID, enc []byte) bool {
+			fi := f.raw.FirstFail(enc)
+			if len(mons) == 0 {
+				return fi < 0
+			}
+			if pg.fresh {
+				pg.fresh = false
+				pg.whole = samplesPage(mons, rid.Page)
+			}
+			if fi >= 0 {
+				pg.fails[fi]++
+			}
+			if pg.whole {
+				pg.failIdx = append(pg.failIdx, fi)
+				return true
+			}
+			return fi < 0
+		}
+	}
+	return pg.judge
 }
 
 // next pins and filters the next data page of it into pg: poll
 // cancellation, charge ctx CPU for every row on the page, and select the
-// survivors into pg.live. With monitors attached the predicate is evaluated
-// atom by atom per row (prefix monitors reuse the short-circuited results,
-// §III-B) and every monitor observes the page in one callback. Without
-// monitors nothing needs the per-row first-failing atom: the predicate runs
-// over the encoded page bytes when it compiled to the raw evaluator (only
-// survivors are decoded), else column-at-a-time over the decoded page.
-// Returns false at end of scan, after closing the monitors' last page.
+// survivors into pg.live. When the predicate compiled raw, every row is
+// judged on the page bytes and only survivors are decoded — unless a
+// sampling or join-filter monitor samples the page, which needs every row.
+// Otherwise the page is decoded whole and filtered column-at-a-time, or atom
+// by atom when monitors need each row's first failing atom. Every monitor
+// observes the page in one callback. Returns false at end of scan, after
+// closing the monitors' last page.
 func (f *scanFilter) next(ctx *Context, it *catalog.RowIter, mons []*scanMonitor, pg *pageSel) (bool, error) {
 	pg.live = pg.live[:0]
-	if len(mons) == 0 && f.keep != nil {
-		total, ok := it.NextPageFiltered(&pg.batch, f.keep)
-		if !ok {
-			return false, it.Err()
+	pg.failIdx = pg.failIdx[:0]
+	pg.whole = !f.raw.OK()
+	pg.fresh = true
+	if len(mons) > 0 {
+		if pg.fails == nil {
+			pg.fails = make([]int, f.cc.Len())
 		}
-		if err := ctx.interrupted(); err != nil {
-			return false, err
-		}
-		ctx.touch(int64(total))
-		pg.live = identSel(pg.live, pg.batch.Len())
-		return true, nil
+		clear(pg.fails)
 	}
-	if !it.NextPage(&pg.batch) {
+	var total int
+	var ok bool
+	if f.raw.OK() {
+		total, ok = it.NextPageFiltered(&pg.batch, pg.judgeCells(f, mons))
+	} else {
+		ok = it.NextPage(&pg.batch)
+		total = pg.batch.Len()
+	}
+	if !ok {
 		if err := it.Err(); err != nil {
 			return false, err
 		}
@@ -162,24 +202,35 @@ func (f *scanFilter) next(ctx *Context, it *catalog.RowIter, mons []*scanMonitor
 	if err := ctx.interrupted(); err != nil {
 		return false, err
 	}
-	ctx.touch(int64(pg.batch.Len()))
-	pg.live = identSel(pg.live, pg.batch.Len())
+	ctx.touch(int64(total))
 	if len(mons) == 0 {
-		pg.live = f.cc.EvalBatch(pg.batch.Rows, pg.live)
+		pg.live = identSel(pg.live, pg.batch.Len())
+		if !f.raw.OK() {
+			pg.live = f.cc.EvalBatch(pg.batch.Rows, pg.live)
+		}
 		return true, nil
 	}
-	pg.failIdx = pg.failIdx[:0]
-	for _, row := range pg.batch.Rows {
-		pg.failIdx = append(pg.failIdx, f.cc.FirstFail(row))
-	}
-	for _, m := range mons {
-		m.safeObservePage(&pg.batch, pg.failIdx)
-	}
-	pg.live = pg.live[:0]
-	for i, fi := range pg.failIdx {
-		if fi == -1 {
-			pg.live = append(pg.live, i)
+	if !f.raw.OK() {
+		for _, row := range pg.batch.Rows {
+			fi := f.cc.FirstFail(row)
+			if fi >= 0 {
+				pg.fails[fi]++
+			}
+			pg.failIdx = append(pg.failIdx, fi)
 		}
+	}
+	if pg.whole {
+		for i, fi := range pg.failIdx {
+			if fi == -1 {
+				pg.live = append(pg.live, i)
+			}
+		}
+	} else {
+		pg.live = identSel(pg.live, pg.batch.Len())
+	}
+	hits := pageHits{pass: len(pg.live), fails: pg.fails}
+	for _, m := range mons {
+		m.safeObservePage(&pg.batch, hits)
 	}
 	return true, nil
 }

@@ -91,7 +91,7 @@ type poolShard struct {
 	frames    map[frameKey]*frame
 	ring      []*frame // CLOCK ring; grows up to capacity, slots reused
 	hand      int
-	free      []*frame // frames whose read failed; reused before growing
+	free      []*frame // ring frames holding no page, popped before growing
 	evictions int64
 
 	// cond wakes fetchers blocked on an exhausted shard; it is signalled
@@ -322,22 +322,34 @@ func (s *poolShard) acquireFrameLocked(bp *BufferPool, key frameKey) (*frame, bo
 const prefetchWindow = 8
 
 // Prefetch schedules asynchronous reads of the given pages into the pool.
-// It is purely advisory: pages already resident are skipped, pages whose
-// shard has a full in-flight window are dropped, read errors are swallowed
-// (the demand fetch will surface them), and pinned frames are never evicted
-// to make room (the CLOCK hand skips them as always). Prefetched frames
-// enter the pool unpinned with the reference bit set, so they survive one
-// sweep of the hand — long enough for a scan reading just behind the window.
+// It is purely advisory: pages already resident are skipped before they
+// take an in-flight slot (a chunk that is all resident costs no allocation
+// and no goroutine), pages whose shard has a full in-flight window are
+// dropped, read errors are swallowed (the demand fetch will surface them),
+// and pinned frames are never evicted to make room (the CLOCK hand skips
+// them as always). Prefetched frames enter the pool unpinned with the
+// reference bit set, so they survive one sweep of the hand — long enough for
+// a scan reading just behind the window.
 //
 // Prefetch reads do not count as logical reads or hits; they increment the
 // separate Prefetched counter in Stats.
 func (bp *BufferPool) Prefetch(file FileID, pids []PageID) {
-	admitted := make([]PageID, 0, len(pids))
+	var admitted []PageID
 	for _, pid := range pids {
-		s := bp.shardFor(frameKey{file, pid})
+		key := frameKey{file, pid}
+		s := bp.shardFor(key)
+		s.mu.Lock()
+		_, resident := s.frames[key]
+		s.mu.Unlock()
+		if resident {
+			continue
+		}
 		if s.inflight.Add(1) > prefetchWindow {
 			s.inflight.Add(-1)
 			continue
+		}
+		if admitted == nil {
+			admitted = make([]PageID, 0, len(pids))
 		}
 		admitted = append(admitted, pid)
 	}
@@ -528,6 +540,12 @@ func (bp *BufferPool) Flush() error {
 // cache (the paper measures all executions cold). It returns an error if any
 // page is still pinned. All shard locks are held for the duration, so the
 // reset is atomic with respect to concurrent fetches.
+//
+// The frames and their page buffers are recycled, not dropped: each shard's
+// ring frames go on its free list in ring order, so the i-th miss after a
+// reset fills ring slot i exactly as it would in a freshly built pool, and
+// the hand restarts at slot 0. Victim order and Stats are those of a fresh
+// pool, and a cold query allocates no page buffers once the pool has filled.
 func (bp *BufferPool) Reset() error {
 	// Settle any in-flight prefetches first, so a read-ahead issued by the
 	// previous query cannot land after the reset and silently warm the
@@ -556,9 +574,12 @@ func (bp *BufferPool) Reset() error {
 				}
 			}
 		}
-		s.frames = make(map[frameKey]*frame, s.capacity)
-		s.ring = s.ring[:0]
+		clear(s.frames)
+		// allocFrameLocked pops from the end, so push the ring backwards.
 		s.free = s.free[:0]
+		for i := len(s.ring) - 1; i >= 0; i-- {
+			s.free = append(s.free, s.ring[i])
+		}
 		s.hand = 0
 	}
 	return nil

@@ -2,6 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -166,6 +169,108 @@ func TestBufferPoolResetColdCache(t *testing.T) {
 	}
 	if string(got.Page.Cell(0)) != "durable" {
 		t.Error("dirty page lost across Reset")
+	}
+}
+
+// TestBufferPoolResetRecyclesFrames checks that Reset keeps each shard's
+// frames and page buffers: refilling the pool after a reset allocates no
+// page buffer, and a fetch sequence that overflows capacity — with hits,
+// second chances and pinned frames — evicts in exactly the order, and ends
+// with exactly the Stats, of a freshly built pool.
+func TestBufferPoolResetRecyclesFrames(t *testing.T) {
+	const capacity, pages = 32, 96
+	d := NewDiskManager(testModel())
+	f := d.CreateFile()
+	pids := preparePages(t, NewBufferPool(d, capacity), f, pages)
+
+	fetch := func(bp *BufferPool, pid PageID) *PinnedPage {
+		t.Helper()
+		pp, err := bp.FetchPage(f, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pp
+	}
+	buffers := func(bp *BufferPool) map[*byte]bool {
+		m := map[*byte]bool{}
+		for _, s := range bp.shards {
+			for _, fr := range s.ring {
+				m[&fr.buf[0]] = true
+			}
+		}
+		return m
+	}
+	resident := func(bp *BufferPool) map[frameKey]bool {
+		m := map[frameKey]bool{}
+		for _, s := range bp.shards {
+			for k := range s.frames {
+				m[k] = true
+			}
+		}
+		return m
+	}
+
+	recycled := NewBufferPool(d, capacity)
+	for _, pid := range pids {
+		fetch(recycled, pid).Unpin(false)
+	}
+	before := buffers(recycled)
+	if len(before) != capacity {
+		t.Fatalf("warm-up left %d frames, want %d", len(before), capacity)
+	}
+	if err := recycled.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	recycled.ResetStats()
+
+	// Refilling allocates no page buffer: the fetch handles are all that
+	// is allocated, far less than one page per miss.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, pid := range pids[:capacity] {
+		fetch(recycled, pid).Unpin(false)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= capacity*PageSize/4 {
+		t.Errorf("refilling %d frames after Reset allocated %d bytes", capacity, got)
+	}
+	if err := recycled.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	recycled.ResetStats()
+
+	fresh := NewBufferPool(d, capacity)
+	rng := rand.New(rand.NewSource(5))
+	var held [2][]*PinnedPage // the two most recent fetches stay pinned
+	for step := 0; step < 400; step++ {
+		pid := pids[rng.Intn(pages)]
+		if rng.Intn(3) == 0 {
+			pid = pids[rng.Intn(pages/4)] // a hot quarter earns hits and second chances
+		}
+		for i, bp := range []*BufferPool{recycled, fresh} {
+			held[i] = append(held[i], fetch(bp, pid))
+			if len(held[i]) > 2 {
+				held[i][0].Unpin(false)
+				held[i] = held[i][1:]
+			}
+		}
+		if got, want := resident(recycled), resident(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (page %d): resident set after Reset differs from a fresh pool's", step, pid)
+		}
+	}
+	for i := range held {
+		for _, pp := range held[i] {
+			pp.Unpin(false)
+		}
+	}
+	if got, want := recycled.Stats(), fresh.Stats(); got != want {
+		t.Errorf("Stats after Reset = %+v, fresh pool = %+v", got, want)
+	}
+	if want := fresh.Stats().Evictions; want == 0 {
+		t.Fatal("the fetch sequence never overflowed the pool")
+	}
+	if after := buffers(recycled); !reflect.DeepEqual(after, before) {
+		t.Errorf("page buffers changed across Reset: %d before, %d after", len(before), len(after))
 	}
 }
 

@@ -71,9 +71,18 @@ func TestPrefetchSkipsResidentPages(t *testing.T) {
 	}
 	before := bp.Stats().Prefetched
 	bp.Prefetch(f, pids)
+	for _, s := range bp.shards {
+		if n := s.inflight.Load(); n != 0 {
+			t.Errorf("resident pages took %d in-flight slots, want 0", n)
+		}
+	}
 	bp.DrainPrefetch()
 	if got := bp.Stats().Prefetched - before; got != 0 {
 		t.Errorf("Prefetched %d resident pages, want 0", got)
+	}
+	// A chunk that is all resident costs no slice and no goroutine.
+	if allocs := testing.AllocsPerRun(100, func() { bp.Prefetch(f, pids) }); allocs != 0 {
+		t.Errorf("Prefetch of resident pages allocated %v times per call, want 0", allocs)
 	}
 }
 

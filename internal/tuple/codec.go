@@ -106,6 +106,42 @@ func DecodeAppend(dst []Value, s *Schema, data []byte) ([]Value, error) {
 	return row, nil
 }
 
+// Valid reports whether data is exactly one encoded row under s, that is
+// whether DecodeAppend would accept it. It walks the column lengths without
+// building a value, so judging a row's bytes (expr.RawCompiled) can tell a
+// well-formed row from one only the decoder may report on.
+func Valid(s *Schema, data []byte) bool {
+	if s.fixedSize >= 0 {
+		return len(data) == s.fixedSize
+	}
+	off := 8 * s.fixedPrefix
+	if len(data) < off {
+		return false
+	}
+	for i := s.fixedPrefix; i < len(s.cols); i++ {
+		switch s.cols[i].Kind {
+		case KindInt, KindDate:
+			if len(data)-off < 8 {
+				return false
+			}
+			off += 8
+		case KindString:
+			if len(data)-off < 4 {
+				return false
+			}
+			n := binary.LittleEndian.Uint32(data[off:])
+			off += 4
+			if uint64(len(data)-off) < uint64(n) {
+				return false
+			}
+			off += int(n)
+		default:
+			return false
+		}
+	}
+	return off == len(data)
+}
+
 // EncodedSize returns the number of bytes Encode would produce for row.
 func EncodedSize(s *Schema, row Row) int {
 	n := 0

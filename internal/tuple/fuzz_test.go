@@ -30,7 +30,8 @@ func fuzzSchema(desc uint32) *Schema {
 }
 
 // FuzzTupleDecode checks the row codec on arbitrary bytes: DecodeAppend must
-// never panic, must leave a pre-populated destination prefix intact, and —
+// never panic, must accept exactly the inputs Valid accepts, must leave a
+// pre-populated destination prefix intact, and —
 // because the row encoding is canonical — any accepted input must re-encode
 // to exactly the original bytes.
 func FuzzTupleDecode(f *testing.F) {
@@ -52,6 +53,9 @@ func FuzzTupleDecode(f *testing.F) {
 		s := fuzzSchema(desc)
 		sentinel := []Value{Int64(7), Str("sentinel")}
 		got, err := DecodeAppend(append([]Value(nil), sentinel...), s, data)
+		if valid := Valid(s, data); valid != (err == nil) {
+			t.Fatalf("Valid = %v, DecodeAppend error = %v", valid, err)
+		}
 		if err != nil {
 			return
 		}

@@ -49,6 +49,8 @@ type Schema struct {
 	// or -1 when the schema has a string column; it gates the branch-free
 	// decode fast path.
 	fixedSize int
+	// fixedPrefix counts the leading INT and DATE columns.
+	fixedPrefix int
 }
 
 // NewSchema builds a schema from the given columns. Column names must be
@@ -72,6 +74,9 @@ func NewSchema(cols ...Column) *Schema {
 				s.fixedSize += 8
 			}
 		}
+		if s.fixedPrefix == i && (c.Kind == KindInt || c.Kind == KindDate) {
+			s.fixedPrefix++
+		}
 	}
 	return s
 }
@@ -83,6 +88,11 @@ func (s *Schema) NumColumns() int { return len(s.cols) }
 // all-fixed-width schema, or -1 when the schema has a string column. Each
 // fixed-width column occupies 8 bytes, so column i starts at offset 8*i.
 func (s *Schema) FixedSize() int { return s.fixedSize }
+
+// FixedPrefix returns the number of leading fixed-width (INT and DATE)
+// columns: those before the first string column. Column i < FixedPrefix()
+// occupies bytes [8*i, 8*i+8) of every encoded row.
+func (s *Schema) FixedPrefix() int { return s.fixedPrefix }
 
 // Column returns the i-th column.
 func (s *Schema) Column(i int) Column { return s.cols[i] }
